@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bucketing import BucketScheme, bucket_indices
-from .errors import BadParams
+from .errors import BadParams, InvariantViolated
 from .distributions import SampleStream
 
 MODE_FAITHFUL = "faithful"
@@ -220,7 +220,7 @@ def uniform_probe(
         limit = (1.0 + scheme.eps_prime) / math.sqrt(n) * (1.0 + 1e-12)
         peak = float(contrib.max())
         if peak > limit:
-            raise AssertionError(
+            raise InvariantViolated(
                 f"light-bucket probe contribution {peak} exceeds {limit}"
             )
     scale = 1.0 if literal_normalization else float(n)

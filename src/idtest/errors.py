@@ -52,5 +52,13 @@ class BudgetExceeded(IdTestError):
     """
 
 
+class InvariantViolated(IdTestError):
+    """An internal invariant of the tester does not hold.
+
+    Raised in place of `assert` so the check also runs under `python -O`.
+    Like BudgetExceeded, it indicates a bug, not a bad input.
+    """
+
+
 class CalibrationFailed(IdTestError):
     """No point in the calibration search space met the target rates."""

@@ -16,19 +16,19 @@ import numpy as np
 
 from .bucketing import BucketScheme, bucket_indices
 from .distributions import SampleStream
-from .errors import BadParams, DimensionMismatch
+from .errors import BadParams, DimensionMismatch, InvariantViolated
 
 
 @dataclass(frozen=True, eq=False)
 class CollisionStats:
-    """Sparse occurrence counts and per-bucket collision statistic.
+    """Per-bucket collision statistic of S samples.
 
-    counts holds only sampled indices (memory O(distinct samples), never
-    O(n)); per_bucket_stat[j] = sum over i in bucket j of C(s_i, 2).
+    per_bucket_stat[j] = sum over sampled i in bucket j of C(s_i, 2), with
+    s_i the occurrences of i. The s_i (O(S) memory, never O(n)) are not
+    kept; the query audit counts distinct p-queries by one sort per run.
     """
 
     total_samples: int
-    counts: dict[int, int]
     per_bucket_stat: np.ndarray
 
 
@@ -48,13 +48,13 @@ def collect_counts(
         raise BadParams("S must be >= 2")
     draws = source.draw_many(S)
     distinct, occ = np.unique(draws, return_counts=True)
-    assert distinct.size <= S  # sparsity: memory tracks S, not n
+    if distinct.size > S:  # sparsity: memory tracks S, not n
+        raise InvariantViolated(f"{distinct.size} distinct indices from {S} samples")
     pv = p.lookup(distinct)
     buckets = bucket_indices(scheme, pv)
     pairs = occ * (occ - 1) / 2.0
     stat = np.bincount(buckets, weights=pairs, minlength=scheme.k + 1)
-    counts = {int(i): int(c) for i, c in zip(distinct, occ)}
-    return CollisionStats(total_samples=S, counts=counts, per_bucket_stat=stat)
+    return CollisionStats(total_samples=S, per_bucket_stat=stat)
 
 
 def moment_threshold(

@@ -21,7 +21,7 @@ from .coarse import (
     phase_sizes,
 )
 from .distributions import ProbabilityVector, SampleStream
-from .errors import BadParams, BudgetExceeded, DomainMismatch
+from .errors import BadParams, BudgetExceeded, DomainMismatch, InvariantViolated
 from .moment import collect_counts, moment_decide, moment_sample_size
 from .rng import TAG_PROBE, spawn_rng
 
@@ -105,14 +105,16 @@ class TesterConfig:
 class QueryCounter:
     """Counting view of a pmf: total lookups and distinct indices touched.
 
-    Single-consumer, one per tester run. Exposes the same narrow lookup
-    interface as ProbabilityVector.
+    Single-consumer, one per tester run, with the narrow lookup interface
+    of ProbabilityVector. lookup keeps each index array, which callers must
+    not modify; distinct_count sorts them once per run: O(Q log Q) time
+    and O(Q) memory for Q p-queries.
     """
 
     def __init__(self, pmf: ProbabilityVector):
         self._pmf = pmf
         self.total = 0
-        self._distinct: set[int] = set()
+        self._queried: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
 
     @property
     def n(self) -> int:
@@ -120,17 +122,15 @@ class QueryCounter:
 
     @property
     def distinct_count(self) -> int:
-        return len(self._distinct)
-
-    def prob(self, i: int) -> float:
-        self.total += 1
-        self._distinct.add(int(i))
-        return self._pmf.prob(i)
+        queried = np.concatenate(self._queried)
+        queried.sort()
+        changes = int(np.count_nonzero(queried[1:] != queried[:-1]))
+        return int(queried.size > 0) + changes
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices)
         self.total += int(indices.size)
-        self._distinct.update(np.unique(indices).tolist())
+        self._queried.append(indices.reshape(-1))
         return self._pmf.lookup(indices)
 
 
@@ -222,6 +222,11 @@ def identity_test(
         "capped": list(sizes.capped),
     }
 
+    def _check_draws(expected):
+        used = source.draws - draws_before
+        if used != expected:
+            raise InvariantViolated(f"drew {used} q-samples, expected {expected}")
+
     def _verdict(decision, stage, bucket, moment_report):
         q_used = source.draws - draws_before
         return Verdict(
@@ -244,14 +249,14 @@ def identity_test(
 
     if cv.case == CASE2:
         # immediate reject; zero moment samples drawn
-        assert source.draws - draws_before == sizes.m1 + sizes.s1
+        _check_draws(sizes.m1 + sizes.s1)
         return _verdict(DECISION_REJECT, STAGE_COARSE, cv.triggering_bucket, None)
 
     stats = collect_counts(source, counter, scheme, S)
     report = moment_decide(
         stats, cv.estimates.q_hat, scheme, config.eps, slack=config.gamma
     )
-    assert source.draws - draws_before == sizes.m1 + sizes.s1 + S
+    _check_draws(sizes.m1 + sizes.s1 + S)
     if report.accept:
         return _verdict(DECISION_ACCEPT, STAGE_NONE, None, report)
     return _verdict(DECISION_REJECT, STAGE_MOMENT, report.triggering_bucket, report)

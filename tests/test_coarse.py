@@ -1,5 +1,6 @@
 """Tests for the coarse bucket-mass comparator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from idtest.distributions import (
     validate_pmf,
     zipf_pmf,
 )
-from idtest.errors import BadParams, SampleExhausted
+from idtest.errors import BadParams, InvariantViolated, SampleExhausted
 from idtest.rng import TAG_PROBE, TAG_TRIAL, seed_sequence, spawn_rng
 from idtest.tester import QueryCounter
 
@@ -246,6 +247,16 @@ class TestUniformProbe:
         light_max = s.boundaries[s.j_star - 1]
         assert light_max <= (1.0 + s.eps_prime) / math.sqrt(n)
         uniform_probe(p, s, 10**4, spawn_rng(6, TAG_PROBE))  # must not raise
+
+    def test_contribution_bound_violation_raises(self):
+        # a scheme whose j_star is past the top bucket counts p_0 = 0.97 as
+        # light, far above (1+eps')/sqrt(n)
+        n = 4
+        p = validate_pmf(np.array([0.97, 0.01, 0.01, 0.01]))
+        s = build_scheme(n, 0.5, 100.0)
+        broken = dataclasses.replace(s, j_star=s.k + 1)
+        with pytest.raises(InvariantViolated, match="light-bucket probe"):
+            uniform_probe(p, broken, 200, spawn_rng(7, TAG_PROBE))
 
 
 def synthetic_estimates(scheme, q_hat=None, heavy=None, probe=None):

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from idtest.bucketing import bucket_index, build_scheme, exact_bucket_masses
+from idtest.bucketing import (
+    bucket_index,
+    bucket_indices,
+    build_scheme,
+    exact_bucket_masses,
+)
 from idtest.distributions import (
     AliasSampler,
     FileSampleStream,
@@ -13,7 +18,7 @@ from idtest.distributions import (
     validate_pmf,
     zipf_pmf,
 )
-from idtest.errors import BadParams, DimensionMismatch
+from idtest.errors import BadParams, DimensionMismatch, InvariantViolated
 from idtest.moment import (
     CollisionStats,
     collect_counts,
@@ -28,13 +33,16 @@ from idtest.tester import QueryCounter
 
 class TestCollectCounts:
     def test_small_example(self):
-        # [7, 7, 9]: counts {7: 2, 9: 1}; C(2,2) + C(1,2) = 1 collision
+        # [7, 7, 9]: occurrences {7: 2, 9: 1}; C(2,2) + C(1,2) = 1 collision.
+        # Two distinct indices and one collision among three samples leave
+        # only the split (2, 1).
         n = 12
         p = uniform_pmf(n)
+        counter = QueryCounter(p)
         s = build_scheme(n, 2.0, 1.0)
         stream = FileSampleStream(np.array([7, 7, 9]), n=n)
-        stats = collect_counts(stream, p, s, 3)
-        assert stats.counts == {7: 2, 9: 1}
+        stats = collect_counts(stream, counter, s, 3)
+        assert counter.total == counter.distinct_count == 2
         j = bucket_index(s, 1.0 / n)
         assert stats.per_bucket_stat[j] == pytest.approx(1.0)
         assert stats.per_bucket_stat.sum() == pytest.approx(1.0)
@@ -52,18 +60,31 @@ class TestCollectCounts:
         p = uniform_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
         S = 15
+        counter = QueryCounter(p)
         stream = FileSampleStream(np.full(S, 4), n=n)
-        stats = collect_counts(stream, p, s, S)
+        stats = collect_counts(stream, counter, s, S)
         j = bucket_index(s, 0.1)
         assert stats.per_bucket_stat[j] == sample_pairs(S)
-        assert sum(stats.counts.values()) == S
+        assert stats.total_samples == S
+        assert counter.total == 1  # all S samples on one index
 
     def test_occurrences_sum_to_s(self):
+        # the statistic equals C(s_i, 2) summed per bucket over occurrence
+        # counts of the same 500 draws, which sum to 500
         p = zipf_pmf(80)
         s = build_scheme(80, 2.0, 1.0)
-        stats = collect_counts(AliasSampler(p, 3), p, s, 500)
-        assert sum(stats.counts.values()) == 500
-        assert len(stats.counts) <= 500  # sparse: never O(n)
+        counter = QueryCounter(p)
+        stats = collect_counts(AliasSampler(p, 3), counter, s, 500)
+        replay = AliasSampler(p, 3).draw_many(500)
+        distinct, occ = np.unique(replay, return_counts=True)
+        assert occ.sum() == stats.total_samples == 500
+        expected = np.bincount(
+            bucket_indices(s, p.lookup(distinct)),
+            weights=occ * (occ - 1) / 2.0,
+            minlength=s.k + 1,
+        )
+        np.testing.assert_array_equal(stats.per_bucket_stat, expected)
+        assert counter.total == distinct.size <= 500  # sparse: never O(n)
 
     def test_one_query_per_distinct_index(self):
         p = uniform_pmf(30)
@@ -80,14 +101,25 @@ class TestCollectCounts:
         with pytest.raises(BadParams):
             collect_counts(AliasSampler(p, 0), p, s, 1)
 
+    def test_more_distinct_than_samples_raises(self):
+        class Overdrawing(FileSampleStream):
+            """Returns one sample more than asked for."""
+
+            def draw_many(self, m):
+                return super().draw_many(m + 1)
+
+        p = uniform_pmf(30)
+        s = build_scheme(30, 2.0, 1.0)
+        stream = Overdrawing(np.arange(10), n=30)
+        with pytest.raises(InvariantViolated, match="5 distinct indices from 4"):
+            collect_counts(stream, p, s, 4)
+
     def test_unbiasedness_five_standard_errors(self):
         # E[stat_j] = C(S,2) * sum_{i in R_j} q_i^2, checked over 1e4 trials
         n, S, trials = 100, 60, 10**4
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
         q = validate_pmf(np.random.default_rng(12).dirichlet(np.ones(n)))
-        from idtest.bucketing import bucket_indices
-
         buckets = bucket_indices(s, p.probs)
         expected = sample_pairs(S) * np.bincount(
             buckets, weights=q.probs**2, minlength=s.k + 1
@@ -113,11 +145,11 @@ class TestMomentDecide:
     def stats_with(self, s, bucket, value, S=100):
         stat = np.zeros(s.k + 1)
         stat[bucket] = value
-        return CollisionStats(total_samples=S, counts={}, per_bucket_stat=stat)
+        return CollisionStats(total_samples=S, per_bucket_stat=stat)
 
     def test_zero_stats_accept(self):
         _, s, masses = self.make()
-        stats = CollisionStats(100, {}, np.zeros(s.k + 1))
+        stats = CollisionStats(100, np.zeros(s.k + 1))
         assert moment_decide(stats, masses, s, 0.5).accept
 
     def test_exact_threshold_accepts(self):
@@ -170,7 +202,7 @@ class TestMomentDecide:
 
     def test_dimension_mismatch(self):
         _, s, _ = self.make()
-        stats = CollisionStats(10, {}, np.zeros(s.k + 1))
+        stats = CollisionStats(10, np.zeros(s.k + 1))
         with pytest.raises(DimensionMismatch):
             moment_decide(stats, np.zeros(s.k), s, 0.5)
 

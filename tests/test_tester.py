@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idtest.distributions import (
     AliasSampler,
@@ -12,7 +14,12 @@ from idtest.distributions import (
     validate_pmf,
     zipf_pmf,
 )
-from idtest.errors import BadParams, BudgetExceeded, DomainMismatch
+from idtest.errors import (
+    BadParams,
+    BudgetExceeded,
+    DomainMismatch,
+    InvariantViolated,
+)
 from idtest.rng import TAG_TRIAL, seed_sequence
 from idtest.tester import (
     DECISION_ACCEPT,
@@ -20,6 +27,7 @@ from idtest.tester import (
     STAGE_COARSE,
     STAGE_MOMENT,
     STAGE_NONE,
+    QueryCounter,
     TesterConfig,
     amplified_test,
     closed_form_budget,
@@ -129,6 +137,60 @@ class TestIdentityTest:
             v, _ = self.run_once(p, q, seed=seed)
             if v.decision == DECISION_REJECT:
                 assert v.stage != STAGE_NONE
+
+    @pytest.mark.parametrize("stage", [STAGE_COARSE, STAGE_MOMENT])
+    def test_draw_count_invariant(self, stage):
+        class Leaky(AliasSampler):
+            """Counts one draw more per batch than it returns."""
+
+            def draw_many(self, m):
+                self._draws += 1
+                return super().draw_many(m)
+
+        n = 400
+        # two_level p against uniform q stops at the coarse stage (seed 6)
+        p = two_level_pmf(n) if stage == STAGE_COARSE else uniform_pmf(n)
+        cfg = TesterConfig(eps=0.5, master_seed=6)
+        b = closed_form_budget(n, cfg)
+        expected = b["m1"] + b["s1"] + (b["S"] if stage == STAGE_MOMENT else 0)
+        stream = Leaky(uniform_pmf(n), seed_sequence(6, TAG_TRIAL, 0))
+        with pytest.raises(InvariantViolated, match=f"expected {expected}$"):
+            identity_test(p, stream, cfg)
+
+    # (q_samples_used, p_queries_used, distinct_p_queried) per seed: the
+    # audit counters are part of the seeded output and must not drift
+    GOLDEN = {
+        ("uniform", 1): (18119, 24588, 4095),
+        ("uniform", 2): (18119, 24553, 4092),
+        ("uniform", 3): (18119, 24570, 4093),
+        ("zipf", 1): (11730, 21330, 3935),
+        ("zipf", 2): (11730, 21330, 3929),
+        ("zipf", 3): (11730, 21330, 3925),
+    }
+
+    @pytest.mark.parametrize("kind, seed", sorted(GOLDEN))
+    def test_audit_counters_golden(self, kind, seed):
+        n = 4096
+        p = uniform_pmf(n) if kind == "uniform" else zipf_pmf(n)
+        v, _ = self.run_once(p, p, seed=seed)
+        got = (v.q_samples_used, v.p_queries_used, v.distinct_p_queried)
+        assert got == self.GOLDEN[kind, seed]
+
+
+class TestQueryCounter:
+    @given(st.lists(st.lists(st.integers(0, 49), max_size=30), max_size=8))
+    @example([])
+    @example([[]])
+    @example([[3, 3, 7], [], [7, 3], [49]])
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_set_semantics(self, batches):
+        counter = QueryCounter(uniform_pmf(50))
+        for batch in batches:
+            counter.lookup(np.array(batch, dtype=np.int64))
+        assert counter.total == sum(len(b) for b in batches)
+        distinct = counter.distinct_count
+        assert type(distinct) is int  # lands in the verdict JSON
+        assert distinct == len({i for b in batches for i in b})
 
 
 class TestAmplifiedTest:
