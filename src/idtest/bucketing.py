@@ -91,8 +91,9 @@ def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
     """
     arr = np.asarray(probs, dtype=np.float64)
     j = np.searchsorted(scheme.boundaries, arr, side="left")
-    # probs <= 1 <= boundaries[k] guarantees j <= k; clip is cheap insurance
-    return np.minimum(j, scheme.k).astype(np.int64)
+    # probs <= 1 <= boundaries[k] guarantees j <= k; clip is cheap insurance.
+    # Clip in place and convert only where searchsorted's intp is not int64.
+    return np.minimum(j, scheme.k, out=j).astype(np.int64, copy=False)
 
 
 def bucket_index(scheme: BucketScheme, prob: float) -> int:

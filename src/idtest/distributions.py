@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     BadParams,
     DomainMismatch,
+    IndexOutOfRange,
     NegativeEntry,
     SampleExhausted,
     SumOutOfTolerance,
@@ -109,27 +110,41 @@ class SampleStream(ABC):
 
 
 def _build_alias_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose alias construction, O(n)."""
+    """Vose alias construction, O(n).
+
+    Classification into small (scaled < 1) and large entries is vectorized.
+    The Python pairing loop runs only when both kinds exist, on plain lists
+    and floats, and its results are written back with one fancy assignment
+    per table. An entry left over when either side runs dry is 1.0 up to
+    rounding and keeps the initial accept 1.0 and alias to itself.
+    """
     n = probs.shape[0]
     scaled = probs * n
     accept = np.ones(n, dtype=np.float64)
     alias = np.arange(n, dtype=np.int64)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
+    is_small = scaled < 1.0
+    n_small = int(np.count_nonzero(is_small))
+    if n_small == 0 or n_small == n:
+        return accept, alias
+    small = np.flatnonzero(is_small).tolist()
+    large = np.flatnonzero(~is_small).tolist()
+    sc = scaled.tolist()
+    paired, paired_alias = [], []
     while small and large:
         s = small.pop()
         g = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = (scaled[g] + scaled[s]) - 1.0
-        if scaled[g] < 1.0:
+        paired.append(s)
+        paired_alias.append(g)
+        sc[g] = (sc[g] + sc[s]) - 1.0
+        if sc[g] < 1.0:
             small.append(g)
         else:
             large.append(g)
-    # Leftovers are 1.0 up to rounding; they keep themselves.
-    for i in small + large:
-        accept[i] = 1.0
-        alias[i] = i
+    # A paired entry has left both lists, so sc[s] still holds the value it
+    # had when it was paired.
+    idx = np.asarray(paired, dtype=np.int64)
+    accept[idx] = np.asarray(sc)[idx]
+    alias[idx] = paired_alias
     return accept, alias
 
 
@@ -137,6 +152,9 @@ class AliasSampler(SampleStream):
     """O(1)-per-draw sampler for a known pmf (synthetic q source).
 
     Table construction is O(n); that is harness setup, not tester work.
+    It classifies entries with numpy and runs the Python pairing loop only
+    when both small and large entries exist, so a uniform pmf, whose
+    entries all fall on one side, builds without per-element Python work.
     Index and acceptance randomness come from two independent sub-streams
     of the seed so that draw sequences are invariant under batching.
     """
@@ -182,6 +200,12 @@ class FileSampleStream(SampleStream):
         self.n = int(n)
         self.seed = seed
         self._samples = np.asarray(samples, dtype=np.int64)
+        bad = np.flatnonzero((self._samples < 0) | (self._samples >= self.n))
+        if bad.size:
+            i = int(bad[0])
+            raise IndexOutOfRange(
+                f"sample {i} is {int(self._samples[i])}, outside [0, {self.n})"
+            )
         self._cursor = 0
 
     @property

@@ -29,7 +29,7 @@ from .distributions import (
     validate_pmf,
     zipf_pmf,
 )
-from .errors import BadParams, CalibrationFailed
+from .errors import BadParams, CalibrationFailed, InvariantViolated
 from .rng import TAG_PROBE, TAG_TRIAL, seed_sequence, spawn_rng
 from .tester import (
     DECISION_ACCEPT,
@@ -88,7 +88,7 @@ def make_instance(kind: str, n: int, seed: int, **params) -> Instance:
     dist = l1_distance(p, q)
     target = advertised_distance(kind, **params)
     if abs(dist - target) > 1e-9:
-        raise AssertionError(
+        raise InvariantViolated(
             f"{kind}: oracle distance {dist} != advertised {target}"
         )
     return Instance(kind, n, seed, dict(params), p, q, dist)
@@ -340,7 +340,7 @@ def lemma_check(
             bl1 = float(np.abs(P - Q).sum())
             bucket_l1[sname] = bl1
             if gate is not None and not gate(bl1):
-                raise AssertionError(
+                raise InvariantViolated(
                     f"{name}/{sname}: oracle gate failed, bucket l1 = {bl1}"
                 )
             succ = _comparator_trials(

@@ -39,6 +39,12 @@ def read_pmf(path) -> ProbabilityVector:
     raw = path.read_bytes()
     if raw[: len(PMF_MAGIC)] == PMF_MAGIC:
         body = raw[len(PMF_MAGIC) :]
+        if len(body) < 8:
+            raise BadParams(f"binary pmf {path}: header truncated before n")
+        if (len(body) - 8) % 8:
+            raise BadParams(
+                f"binary pmf {path}: {len(body) - 8} value bytes is not a multiple of 8"
+            )
         n = int(np.frombuffer(body[:8], dtype="<u8")[0])
         vals = np.frombuffer(body[8:], dtype="<f8")
         if vals.size != n:

@@ -96,6 +96,20 @@ class TestBucketIndex:
             if j < s.k and up * (1 + 1e-12) <= 1.0:
                 assert bucket_index(s, up * (1 + 1e-12)) == j + 1
 
+    @pytest.mark.parametrize("n,eps,C", [(400, 2.0, 1.0), (1024, 0.5, 100.0)])
+    def test_int64_equals_clipped_searchsorted(self, n, eps, C):
+        # every boundary and both float neighbours; those above the top
+        # boundary exercise the clip to k
+        s = build_scheme(n, eps, C)
+        b = s.boundaries
+        probs = np.concatenate(
+            [[0.0, 1.0], b, np.nextafter(b, 0.0), np.nextafter(b, np.inf)]
+        )
+        got = bucket_indices(s, probs)
+        assert got.dtype == np.int64
+        want = np.minimum(np.searchsorted(b, probs, side="left"), s.k)
+        assert np.array_equal(got, want)
+
     def test_monotonicity(self):
         s = build_scheme(2048, 0.3, 50.0)
         probs = np.sort(np.random.default_rng(3).random(5000))

@@ -163,6 +163,20 @@ class TestTest:
         assert code == 2
         assert "line 3" in err
 
+    def test_truncated_binary_pmf_is_input_error(self, tmp_path, capsys):
+        from idtest.distributions import uniform_pmf
+        from idtest.io import write_pmf
+
+        trunc = tmp_path / "trunc.pmf"
+        write_pmf(trunc, uniform_pmf(64), binary=True)
+        trunc.write_bytes(trunc.read_bytes()[:-3])
+        code, _, err = run_cli(
+            capsys, "test", "--pmf", str(trunc), "--q", "self",
+            "--eps", "0.5", "--seed", "1",
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_no_q_source_is_usage_error(self, tmp_path, capsys):
         pmf = make_uniform_pmf_file(tmp_path, 16)
         code, _, err = run_cli(

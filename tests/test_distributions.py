@@ -1,5 +1,7 @@
 """Tests for pmf validation, sampling streams, and instance generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 from idtest.distributions import (
     AliasSampler,
+    _build_alias_tables,
     FileSampleStream,
     build_sampler,
     generate_instance,
     advertised_distance,
     l1_distance,
+    perturbed_pmf,
     point_mass_pmf,
     uniform_pmf,
     validate_pmf,
@@ -20,6 +24,7 @@ from idtest.distributions import (
 from idtest.errors import (
     BadParams,
     DomainMismatch,
+    IndexOutOfRange,
     NegativeEntry,
     SampleExhausted,
     SumOutOfTolerance,
@@ -98,6 +103,62 @@ class TestL1Distance:
         assert d == l1_distance(b, a)
 
 
+def reference_alias_tables(probs):
+    """Vose's construction one numpy scalar at a time, as first written.
+
+    The reference for the vectorized builder: seeded draw streams depend
+    on the tables, so the two must agree bit for bit.
+    """
+    n = probs.shape[0]
+    scaled = probs * n
+    accept = np.ones(n, dtype=np.float64)
+    alias = np.arange(n, dtype=np.int64)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        if scaled[g] < 1.0:
+            small.append(g)
+        else:
+            large.append(g)
+    for i in small + large:
+        accept[i] = 1.0
+        alias[i] = i
+    return accept, alias
+
+
+# n in [2, 5000] where (1/n) * n rounds below 1, so every entry is "small"
+UNIFORM_ROUNDS_LOW = [n for n in range(2, 5001) if (1.0 / n) * n < 1.0]
+
+
+def _normalized(weights):
+    arr = np.asarray(weights, dtype=np.float64)
+    return validate_pmf(arr / arr.sum())
+
+
+alias_pmfs = st.one_of(
+    st.integers(2, 5000).map(uniform_pmf),
+    st.sampled_from(UNIFORM_ROUNDS_LOW).map(uniform_pmf),
+    st.integers(2, 500).flatmap(
+        lambda n: st.integers(0, n - 1).map(lambda i: point_mass_pmf(n, i))
+    ),
+    st.tuples(st.integers(2, 5000), st.sampled_from([0.5, 1.0, 2.0])).map(
+        lambda t: zipf_pmf(*t)
+    ),
+    st.tuples(
+        st.integers(50, 5000), st.floats(0.05, 1.9), st.integers(0, 10**6)
+    ).map(lambda t: perturbed_pmf(*t)),
+    st.lists(st.floats(1e-6, 10.0), min_size=2, max_size=300).map(_normalized),
+    st.lists(st.just(0.0) | st.floats(1e-6, 10.0), min_size=2, max_size=300)
+    .filter(lambda w: sum(w) > 0)
+    .map(_normalized),
+)
+
+
 class TestAliasSampler:
     def test_point_mass_every_draw(self):
         s = build_sampler(point_mass_pmf(10, 3), seed=99)
@@ -146,6 +207,35 @@ class TestAliasSampler:
         s.draw_many(5)
         assert s.draws == 16
 
+    @given(alias_pmfs)
+    @settings(max_examples=300, deadline=None)
+    def test_tables_match_reference_bit_for_bit(self, p):
+        accept, alias = _build_alias_tables(p.probs)
+        want_accept, want_alias = reference_alias_tables(p.probs.copy())
+        assert accept.dtype == want_accept.dtype
+        assert alias.dtype == want_alias.dtype
+        assert accept.tobytes() == want_accept.tobytes()
+        assert alias.tobytes() == want_alias.tobytes()
+
+    @pytest.mark.parametrize(
+        "make_pmf,digest",
+        [
+            (
+                lambda: zipf_pmf(4096),
+                "4d5bae656c04f4d855eaa033a89074ea8fd157a3e54b1618f9c5c5301d8c3eee",
+            ),
+            (
+                lambda: perturbed_pmf(4096, 0.5, 3),
+                "6099a024ab76039d2869894fd972ce3f6e4b4e64c44aa7d7a6e18ef28be19bbd",
+            ),
+        ],
+        ids=["zipf-4096", "perturbed-4096"],
+    )
+    def test_seeded_draws_pinned(self, make_pmf, digest):
+        # SHA-256 of the first 10^4 draws as built by the scalar Vose loop
+        draws = AliasSampler(make_pmf(), 7).draw_many(10**4)
+        assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest() == digest
+
     def test_spawn_shares_tables_fresh_counter(self):
         s = build_sampler(zipf_pmf(30), seed=0)
         s.draw_many(5)
@@ -166,6 +256,12 @@ class TestFileSampleStream:
         st_ = FileSampleStream(np.array([0, 1]), n=2)
         with pytest.raises(SampleExhausted):
             st_.draw_many(3)
+
+    @pytest.mark.parametrize("samples", [[-1, 3], [2, 7], [0, 5]])
+    def test_index_outside_domain_rejected(self, samples):
+        # -1 would wrap to n-1 in p.lookup; n and above would raise IndexError
+        with pytest.raises(IndexOutOfRange, match=r"outside \[0, 5\)"):
+            FileSampleStream(np.array(samples), n=5)
 
 
 class TestGenerateInstance:

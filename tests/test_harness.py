@@ -6,7 +6,7 @@ import pytest
 
 from idtest.bucketing import build_scheme, exact_bucket_masses
 from idtest.distributions import zipf_pmf
-from idtest.errors import BadParams, CalibrationFailed
+from idtest.errors import BadParams, CalibrationFailed, InvariantViolated
 from idtest.harness import (
     BaselineConfig,
     baseline_identity_test,
@@ -79,6 +79,15 @@ class TestRunTrials:
         assert rep.mean_q_samples > 0
 
 
+class TestMakeInstance:
+    def test_distance_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            "idtest.harness.advertised_distance", lambda kind, **params: 0.5
+        )
+        with pytest.raises(InvariantViolated, match="advertised 0.5"):
+            make_instance("identical-uniform", 10, seed=0)
+
+
 class TestShiftedBucketPair:
     def test_exact_bucket_distance(self):
         n = 400
@@ -125,6 +134,14 @@ class TestLemmaCheck:
         rep = lemma_check(100, 0.4, trials=45, master_seed=1, include_gap=False)
         for dist in rep["case2"]["bucket_l1"].values():
             assert dist >= 0.4 - 1e-9
+
+    def test_oracle_gate_failure_raises(self, monkeypatch):
+        # a case-2 "shift" that moves nothing leaves bucket l1 at 0 < delta
+        monkeypatch.setattr(
+            "idtest.harness.shifted_bucket_pair", lambda base, *args: base
+        )
+        with pytest.raises(InvariantViolated, match="case2/.*oracle gate failed"):
+            lemma_check(100, 0.4, trials=3, master_seed=0, include_gap=False)
 
     def test_oracle_feasibility_precondition(self):
         with pytest.raises(BadParams):

@@ -51,6 +51,19 @@ class TestPmfBinary:
         with pytest.raises(BadParams):
             read_pmf(path)
 
+    @pytest.mark.parametrize(
+        "cut,match",
+        [(8 + 3, "header truncated"), (-3, "not a multiple of 8")],
+        ids=["short-header", "partial-value"],
+    )
+    def test_truncated_bytes_are_bad_params(self, tmp_path, cut, match):
+        # cut 8 + 3 keeps the magic and 3 bytes of n; -3 splits the last value
+        path = tmp_path / "c.pmfbin"
+        write_pmf(path, uniform_pmf(8), binary=True)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(BadParams, match=match):
+            read_pmf(path)
+
 
 class TestSamples:
     def test_round_trip_one_indexed(self, tmp_path):
