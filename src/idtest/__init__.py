@@ -9,9 +9,7 @@ verify every threshold at desk scale.
 
 from .bucketing import (
     BucketScheme,
-    bucket_index,
     bucket_indices,
-    bucket_upper,
     build_scheme,
     exact_bucket_masses,
 )
@@ -34,7 +32,6 @@ from .distributions import (
     ProbabilityVector,
     SampleStream,
     advertised_distance,
-    build_sampler,
     generate_instance,
     l1_distance,
     perturbed_pmf,
@@ -60,7 +57,6 @@ from .moment import (
     collect_counts,
     moment_decide,
     moment_sample_size,
-    moment_threshold,
 )
 from .tester import (
     TesterConfig,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ProbabilityVector
-from .errors import BadParams, DomainMismatch, IndexOutOfRange
+from .errors import BadParams, DomainMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,18 +94,6 @@ def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
     # probs <= 1 <= boundaries[k] guarantees j <= k; clip is cheap insurance.
     # Clip in place and convert only where searchsorted's intp is not int64.
     return np.minimum(j, scheme.k, out=j).astype(np.int64, copy=False)
-
-
-def bucket_index(scheme: BucketScheme, prob: float) -> int:
-    """Bucket of a single probability; see bucket_indices."""
-    return int(bucket_indices(scheme, [prob])[0])
-
-
-def bucket_upper(scheme: BucketScheme, j: int) -> float:
-    """Inclusive upper boundary of bucket j: base * (1+eps')^j."""
-    if not 0 <= j <= scheme.k:
-        raise IndexOutOfRange(f"bucket {j} outside [0, {scheme.k}]")
-    return float(scheme.boundaries[j])
 
 
 def exact_bucket_masses(

@@ -10,14 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .bucketing import build_scheme, exact_bucket_masses
 from .distributions import AliasSampler, generate_instance, l1_distance
-from .errors import IdTestError
+from .errors import BadParams, IdTestError
 from .harness import (
+    CALIBRATION_KNOBS,
     BaselineConfig,
     calibrate_constants,
     lemma_check,
@@ -46,7 +48,11 @@ def _emit(obj, out_path=None) -> None:
 
 
 def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else fresh_seed()
+    if args.seed is None:
+        return fresh_seed()
+    if args.seed < 0:
+        raise BadParams("--seed must be non-negative")
+    return args.seed
 
 
 def _tester_config(args, seed: int) -> TesterConfig:
@@ -61,7 +67,7 @@ def _tester_config(args, seed: int) -> TesterConfig:
         val = getattr(args, key.lower(), None)
         if val is not None:
             kw[key] = val
-    if getattr(args, "trials", None):
+    if getattr(args, "trials", None) is not None:
         kw["trials_for_amplification"] = args.trials
     return TesterConfig(**kw)
 
@@ -83,20 +89,20 @@ def _add_config_flags(sp) -> None:
 
 
 def cmd_test(args) -> int:
+    if sum(s is not None for s in (args.q, args.q_pmf, args.q_file)) != 1:
+        raise IdTestError("choose exactly one q source: --q self, --q-pmf, or --q-file")
     p = read_pmf(args.pmf)
     seed = _seed_of(args)
     config = _tester_config(args, seed)
     if args.q == "self":
         source = AliasSampler(p, seed_sequence(seed, TAG_Q_STREAM))
         q_desc = "self"
-    elif args.q_pmf:
+    elif args.q_pmf is not None:
         source = AliasSampler(read_pmf(args.q_pmf), seed_sequence(seed, TAG_Q_STREAM))
         q_desc = f"pmf:{args.q_pmf}"
-    elif args.q_file:
+    else:
         source = read_samples(args.q_file, p.n)
         q_desc = f"file:{args.q_file}"
-    else:
-        raise IdTestError("choose a q source: --q self, --q-pmf, or --q-file")
     if config.trials_for_amplification > 1:
         verdict = amplified_test(p, source, config)
     else:
@@ -104,7 +110,7 @@ def cmd_test(args) -> int:
     audit = query_audit(verdict, p.n, config)
     payload = verdict.to_dict()
     payload["q_source"] = q_desc
-    payload["audit"] = audit.to_dict()
+    payload["audit"] = asdict(audit)
     _emit(payload, args.out)
     return 0 if verdict.decision == DECISION_ACCEPT else 1
 
@@ -215,18 +221,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_calibrate(args) -> int:
     seed = _seed_of(args)
-
-    def grid(text, default):
-        if text is None:
-            return default
-        return [float(x) for x in text.split(",") if x.strip()]
-
+    grids = {k: getattr(args, f"{k}_grid") for k in CALIBRATION_KNOBS}
     space = {
-        "c1": grid(args.c1_grid, [TesterConfig(eps=args.eps).c1]),
-        "c2": grid(args.c2_grid, [TesterConfig(eps=args.eps).c2]),
-        "c3": grid(args.c3_grid, [TesterConfig(eps=args.eps).c3]),
-        "c4": grid(args.c4_grid, [TesterConfig(eps=args.eps).c4]),
-        "gamma": grid(args.gamma_grid, [TesterConfig(eps=args.eps).gamma]),
+        k: [float(x) for x in text.split(",") if x.strip()]
+        for k, text in grids.items()
+        if text is not None
     }
     result = calibrate_constants(
         search_space=space,
@@ -334,10 +333,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except IdTestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (IdTestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,7 +62,6 @@ class CoarseConfig:
     c3: float = 8.0
     mode: str = MODE_PRACTICAL
     budget_scale: float | None = 150.0
-    literal_probe_normalization: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 2.0:
@@ -88,14 +87,6 @@ class PhaseSizes:
     s1: int
     s2: int
     capped: tuple[bool, bool, bool]
-
-    @property
-    def total_q_samples(self) -> int:
-        return self.m1 + self.s1
-
-    @property
-    def total_p_queries(self) -> int:
-        return self.m1 + self.s1 + self.s2
 
 
 def phase_sizes(scheme: BucketScheme, config: CoarseConfig) -> PhaseSizes:
@@ -194,16 +185,12 @@ def uniform_probe(
     scheme: BucketScheme,
     s2_size: int,
     rng: np.random.Generator,
-    literal_normalization: bool = False,
 ) -> np.ndarray:
     """Light-bucket p-mass estimates from uniform probes of [n].
 
     Draws s2_size indices uniformly with replacement and performs exactly
     that many p-queries. Each probe landing in a bucket below j_star
     contributes p_i * n, so the estimate is unbiased for the bucket mass.
-    With literal_normalization the n factor is dropped (estimating
-    mass/n instead); exposed for comparison only, the decision thresholds
-    assume the unbiased form.
     """
     if s2_size < 1:
         raise BadParams("s2_size must be >= 1")
@@ -223,9 +210,8 @@ def uniform_probe(
             raise InvariantViolated(
                 f"light-bucket probe contribution {peak} exceeds {limit}"
             )
-    scale = 1.0 if literal_normalization else float(n)
     return np.bincount(
-        buckets[mask], weights=contrib * scale, minlength=scheme.k + 1
+        buckets[mask], weights=contrib * float(n), minlength=scheme.k + 1
     ) / float(s2_size)
 
 
@@ -271,9 +257,7 @@ def coarse_compare(
     sizes = phase_sizes(scheme, config)
     q_hat = estimate_q(source, p, scheme, sizes.m1)
     heavy = collect_heavy_support(source, p, scheme, sizes.s1)
-    probe = uniform_probe(
-        p, scheme, sizes.s2, rng, config.literal_probe_normalization
-    )
+    probe = uniform_probe(p, scheme, sizes.s2, rng)
     estimates = CoarseEstimates(
         q_hat=q_hat, heavy_mass=heavy, probe_mass=probe, s2_size=sizes.s2
     )

@@ -40,10 +40,6 @@ class ProbabilityVector:
     def n(self) -> int:
         return int(self.probs.shape[0])
 
-    def prob(self, i: int) -> float:
-        """O(1) query of entry i."""
-        return float(self.probs[i])
-
     def lookup(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized query: p_i for each index in `indices`."""
         return self.probs[indices]
@@ -100,9 +96,6 @@ class SampleStream(ABC):
     def draws(self) -> int:
         """Number of samples drawn so far."""
         return self._draws
-
-    def draw(self) -> int:
-        return int(self.draw_many(1)[0])
 
     @abstractmethod
     def draw_many(self, m: int) -> np.ndarray:
@@ -185,11 +178,6 @@ class AliasSampler(SampleStream):
         out = np.where(v < self._accept[idx], idx, self._alias[idx])
         self._draws += m
         return out
-
-
-def build_sampler(p: ProbabilityVector, seed: int) -> AliasSampler:
-    """Sampler whose draw distribution equals p, deterministic under seed."""
-    return AliasSampler(p, seed)
 
 
 class FileSampleStream(SampleStream):

@@ -38,7 +38,7 @@ class SampleExhausted(IdTestError):
 
 
 class IndexOutOfRange(IdTestError):
-    """Bucket index outside [0, k], or sample index outside [0, n)."""
+    """Sample index outside [0, n)."""
 
 
 class DimensionMismatch(IdTestError):

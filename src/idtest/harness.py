@@ -12,7 +12,8 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -103,42 +104,33 @@ class TrialReport:
     wilson: tuple[float, float]
     mean_q_samples: float
     mean_p_queries: float
-    wall_ms_per_trial: float
     audits_ok: bool
     master_seed: int
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
-            "instance": self.instance,
-            "trials": self.trials,
-            "accepts": self.accepts,
-            "accept_rate": self.accept_rate,
-            "reject_rate": 1.0 - self.accept_rate,
-            "wilson_lo": self.wilson[0],
-            "wilson_hi": self.wilson[1],
-            "mean_q_samples": self.mean_q_samples,
-            "mean_p_queries": self.mean_p_queries,
-            "audits_ok": self.audits_ok,
-            "master_seed": self.master_seed,
-        }
-        if include_timing:
-            d["wall_ms_per_trial"] = self.wall_ms_per_trial
-        return d
+
+def _map_trials(worker, args: tuple, trials: int, jobs: int) -> list:
+    """worker(*args, indices) over trial indices 0 .. trials-1.
+
+    One chunk runs in this process when jobs <= 1; otherwise the indices
+    are split into at most `jobs` chunks, one per worker process. Returns
+    one result per chunk, in index order.
+    """
+    if jobs <= 1:
+        return [worker(*args, range(trials))]
+    chunks = [c.tolist() for c in np.array_split(np.arange(trials), jobs) if len(c)]
+    with ProcessPoolExecutor(max_workers=jobs) as ex:
+        return list(ex.map(partial(worker, *args), chunks))
 
 
-def _trial_batch(payload) -> list[tuple[int, bool, int, int]]:
-    """Worker for parallel trials; returns (index, accepted, q_used, p_used)."""
-    p_probs, q_probs, cfg_dict, master_seed, indices = payload
-    p = validate_pmf(p_probs)
-    q = validate_pmf(q_probs)
-    cfg = TesterConfig(**{**cfg_dict, "master_seed": master_seed})
+def _trial_batch(p, q, config, indices) -> list[tuple[bool, int, int]]:
+    """Tester runs for run_trials; (accepted, q_used, p_used) per index."""
     proto = AliasSampler(q, 0)
     out = []
     for t in indices:
-        stream = proto.spawn(seed_sequence(master_seed, TAG_TRIAL, t))
-        v = identity_test(p, stream, cfg, trial_index=t)
-        query_audit(v, p.n, cfg)
-        out.append((t, v.decision == DECISION_ACCEPT, v.q_samples_used, v.p_queries_used))
+        stream = proto.spawn(seed_sequence(config.master_seed, TAG_TRIAL, t))
+        v = identity_test(p, stream, config, trial_index=t)
+        query_audit(v, p.n, config)
+        out.append((v.decision == DECISION_ACCEPT, v.q_samples_used, v.p_queries_used))
     return out
 
 
@@ -157,32 +149,20 @@ def run_trials(
     """
     if trials < 30:
         raise BadParams("need at least 30 trials for a meaningful interval")
-    cfg_dict = config.to_dict()
-    t0 = time.perf_counter()
-    if jobs <= 1:
-        results = _trial_batch(
-            (instance.p.probs, instance.q.probs, cfg_dict, master_seed, range(trials))
-        )
-    else:
-        chunks = [
-            (instance.p.probs, instance.q.probs, cfg_dict, master_seed, rng)
-            for rng in np.array_split(np.arange(trials), jobs)
-            if len(rng)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = [r for batch in ex.map(_trial_batch, chunks) for r in batch]
-    wall_ms = (time.perf_counter() - t0) * 1000.0 / trials
-    results.sort(key=lambda r: r[0])
-    accepts = sum(1 for _, acc, _, _ in results if acc)
+    config = replace(config, master_seed=master_seed)
+    batches = _map_trials(
+        _trial_batch, (instance.p, instance.q, config), trials, jobs
+    )
+    results = [r for batch in batches for r in batch]
+    accepts = sum(1 for acc, _, _ in results if acc)
     return TrialReport(
         instance=instance.descriptor(),
         trials=trials,
         accepts=accepts,
         accept_rate=accepts / trials,
         wilson=wilson_interval(accepts, trials),
-        mean_q_samples=float(np.mean([q for _, _, q, _ in results])),
-        mean_p_queries=float(np.mean([p for _, _, _, p in results])),
-        wall_ms_per_trial=wall_ms,
+        mean_q_samples=float(np.mean([q for _, q, _ in results])),
+        mean_p_queries=float(np.mean([p for _, _, p in results])),
         audits_ok=True,  # query_audit raises on violation
         master_seed=master_seed,
     )
@@ -227,31 +207,8 @@ def shifted_bucket_pair(
     return validate_pmf(q)
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    name: str
-    shapes: dict  # shape name -> {"trials", "successes", "rate", "wilson_lo"}
-    trials: int
-    successes: int
-    rate: float
-    wilson: tuple[float, float]
-    bucket_l1: dict  # shape name -> exact ||P - Q||_1
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "successes": self.successes,
-            "rate": self.rate,
-            "wilson_lo": self.wilson[0],
-            "wilson_hi": self.wilson[1],
-            "shapes": self.shapes,
-            "bucket_l1": self.bucket_l1,
-        }
-
-
-def _comparator_batch(payload) -> int:
-    p, q, scheme, config, want_case, master_seed, indices = payload
+def _comparator_batch(p, q, scheme, config, want_case, master_seed, indices) -> int:
+    """Comparator runs for lemma_check; the number that decided want_case."""
     proto = AliasSampler(q, 0)
     successes = 0
     for t in indices:
@@ -262,37 +219,12 @@ def _comparator_batch(payload) -> int:
     return successes
 
 
-def _comparator_trials(
-    p: ProbabilityVector,
-    q: ProbabilityVector,
-    scheme,
-    config: CoarseConfig,
-    want_case: str,
-    trials: int,
-    master_seed: int,
-    jobs: int = 1,
-) -> int:
-    if jobs <= 1:
-        return _comparator_batch(
-            (p, q, scheme, config, want_case, master_seed, range(trials))
-        )
-    chunks = [
-        (p, q, scheme, config, want_case, master_seed, rng.tolist())
-        for rng in np.array_split(np.arange(trials), jobs)
-        if len(rng)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return sum(ex.map(_comparator_batch, chunks))
-
-
 def lemma_check(
     n: int,
     delta: float,
     trials: int = 300,
     master_seed: int = 0,
     config: CoarseConfig | None = None,
-    scheme_eps: float = LEMMA_SCHEME_EPS,
-    scheme_C: float = LEMMA_SCHEME_C,
     include_gap: bool = True,
     jobs: int = 1,
 ) -> dict:
@@ -307,7 +239,11 @@ def lemma_check(
     """
     if n > 10**4:
         raise BadParams("lemma check needs n <= 10^4 for the exact oracles")
-    scheme = build_scheme(n, scheme_eps, scheme_C)
+    scheme = build_scheme(n, LEMMA_SCHEME_EPS, LEMMA_SCHEME_C)
+    if scheme.j_star < 2:
+        raise BadParams(
+            f"lemma check needs two light buckets; n={n} gives j_star={scheme.j_star}"
+        )
     if config is None:
         config = CoarseConfig(delta=delta, budget_scale=None)
 
@@ -339,32 +275,31 @@ def lemma_check(
             Q = exact_bucket_masses(scheme, base_p, weight_pmf=q)
             bl1 = float(np.abs(P - Q).sum())
             bucket_l1[sname] = bl1
-            if gate is not None and not gate(bl1):
+            if not gate(bl1):
                 raise InvariantViolated(
                     f"{name}/{sname}: oracle gate failed, bucket l1 = {bl1}"
                 )
-            succ = _comparator_trials(
-                base_p, q, scheme, config, want, per_trials,
-                master_seed + 7919 * (i + 1), jobs=jobs,
-            )
+            args = (base_p, q, scheme, config, want, master_seed + 7919 * (i + 1))
+            succ = sum(_map_trials(_comparator_batch, args, per_trials, jobs))
             total_succ += succ
-            lo, hi = wilson_interval(succ, per_trials)
             shape_stats[sname] = {
                 "trials": per_trials,
                 "successes": succ,
                 "rate": succ / per_trials,
-                "wilson_lo": lo,
+                "wilson_lo": wilson_interval(succ, per_trials)[0],
             }
         total = per_trials * len(shapes)
-        return FamilyReport(
-            name=name,
-            shapes=shape_stats,
-            trials=total,
-            successes=total_succ,
-            rate=total_succ / total,
-            wilson=wilson_interval(total_succ, total),
-            bucket_l1=bucket_l1,
-        )
+        lo, hi = wilson_interval(total_succ, total)
+        return {
+            "name": name,
+            "trials": total,
+            "successes": total_succ,
+            "rate": total_succ / total,
+            "wilson_lo": lo,
+            "wilson_hi": hi,
+            "shapes": shape_stats,
+            "bucket_l1": bucket_l1,
+        }
 
     per1 = max(1, trials // len(case1_shapes))
     per2 = max(1, trials // len(case2_shapes))
@@ -379,20 +314,18 @@ def lemma_check(
         "delta": delta,
         "k": scheme.k,
         "j_star": scheme.j_star,
-        "scheme_eps": scheme_eps,
-        "scheme_C": scheme_C,
+        "scheme_eps": LEMMA_SCHEME_EPS,
+        "scheme_C": LEMMA_SCHEME_C,
         "master_seed": master_seed,
         "trials_requested": trials,
-        "case1": case1.to_dict(),
-        "case2": case2.to_dict(),
+        "case1": case1,
+        "case2": case2,
     }
     if include_gap:
         gap_q = shifted_bucket_pair(zipf, scheme, delta / 4, donor, heavy_j)
         gap_trials = max(30, trials // 3)
-        succ = _comparator_trials(
-            zipf, gap_q, scheme, config, CASE1, gap_trials,
-            master_seed + 104729, jobs=jobs,
-        )
+        args = (zipf, gap_q, scheme, config, CASE1, master_seed + 104729)
+        succ = sum(_map_trials(_comparator_batch, args, gap_trials, jobs))
         P = exact_bucket_masses(scheme, zipf)
         Q = exact_bucket_masses(scheme, zipf, weight_pmf=gap_q)
         report["gap"] = {
@@ -484,6 +417,8 @@ def scaling_experiment(
     n_grid = [int(n) for n in n_grid]
     if not n_grid:
         raise BadParams("empty n grid")
+    if trials_per_point < 1:
+        raise BadParams("trials_per_point must be >= 1")
     if config is None:
         config = TesterConfig(eps=eps)
     if baseline is None:
@@ -496,9 +431,7 @@ def scaling_experiment(
         t0 = time.perf_counter()
         for t in range(trials_per_point):
             stream = proto.spawn(seed_sequence(master_seed, TAG_TRIAL, n, t))
-            cfg_t = TesterConfig(
-                **{**config.to_dict(), "master_seed": master_seed + n + t}
-            )
+            cfg_t = replace(config, master_seed=master_seed + n + t)
             v = identity_test(inst.p, stream, cfg_t, trial_index=t)
             query_audit(v, n, cfg_t)
             q_tot.append(v.q_samples_used)
@@ -564,7 +497,7 @@ def evaluate_point(
     jobs: int = 1,
 ) -> dict:
     """Measure every target's Wilson lower bound at one knob setting."""
-    config = TesterConfig(eps=eps, **{k: point[k] for k in ("c1", "c2", "c3", "c4", "gamma")})
+    config = TesterConfig(eps=eps, **{k: point[k] for k in CALIBRATION_KNOBS})
     rates = {}
     if "accept_identical" in targets:
         rep = run_trials(
@@ -621,48 +554,23 @@ def calibrate_constants(
     cost. Raises CalibrationFailed when nothing in the space passes.
     """
     targets = dict(DEFAULT_TARGETS if target_rates is None else target_rates)
-    defaults = {
-        "c1": TesterConfig(eps=eps).c1,
-        "c2": TesterConfig(eps=eps).c2,
-        "c3": TesterConfig(eps=eps).c3,
-        "c4": TesterConfig(eps=eps).c4,
-        "gamma": TesterConfig(eps=eps).gamma,
-    }
-    if search_space is None:
-        search_space = {k: [v] for k, v in defaults.items()}
-    for k in CALIBRATION_KNOBS:
-        search_space.setdefault(k, [defaults[k]])
-    if any(len(v) == 0 for v in search_space.values()):
+    base = TesterConfig(eps=eps)
+    defaults = {k: getattr(base, k) for k in CALIBRATION_KNOBS}
+    space = {k: [v] for k, v in defaults.items()}
+    space.update(search_space or {})
+    if any(len(v) == 0 for v in space.values()):
         raise CalibrationFailed("empty search space")
-
-    def passes(rates):
-        return all(rates[t] >= targets[t] - 1e-12 for t in targets)
-
-    tried = []
-    in_space = all(defaults[k] in search_space[k] for k in CALIBRATION_KNOBS)
-    if in_space:
-        rates = evaluate_point(defaults, targets, n, eps, trials, master_seed, jobs)
-        tried.append({"point": defaults, "rates": rates, "passed": passes(rates)})
-        if passes(rates):
-            return {
-                "recommended": defaults,
-                "targets": targets,
-                "n": n,
-                "eps": eps,
-                "trials": trials,
-                "evaluations": tried,
-            }
 
     points = [
         dict(zip(CALIBRATION_KNOBS, vals))
-        for vals in itertools.product(*(search_space[k] for k in CALIBRATION_KNOBS))
+        for vals in itertools.product(*(space[k] for k in CALIBRATION_KNOBS))
     ]
     points.sort(key=_point_cost)
-    for point in points:
-        if point == defaults and in_space:
-            continue  # already evaluated
+    first = [defaults] if defaults in points else []
+    tried = []
+    for point in first + [pt for pt in points if pt not in first]:
         rates = evaluate_point(point, targets, n, eps, trials, master_seed, jobs)
-        ok = passes(rates)
+        ok = all(rates[t] >= targets[t] - 1e-12 for t in targets)
         tried.append({"point": point, "rates": rates, "passed": ok})
         if ok:
             return {

@@ -34,11 +34,19 @@ def write_pmf(path, p: ProbabilityVector, binary: bool = False) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _decode(path, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadParams(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_pmf(path) -> ProbabilityVector:
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(PMF_MAGIC)] == PMF_MAGIC:
-        body = raw[len(PMF_MAGIC) :]
+        # slices of a memoryview share the file's buffer instead of copying it
+        body = memoryview(raw)[len(PMF_MAGIC) :]
         if len(body) < 8:
             raise BadParams(f"binary pmf {path}: header truncated before n")
         if (len(body) - 8) % 8:
@@ -53,7 +61,7 @@ def read_pmf(path) -> ProbabilityVector:
             )
         return validate_pmf(vals)
     values = []
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_decode(path, raw).splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -75,7 +83,7 @@ def write_samples(path, samples_0based: np.ndarray) -> None:
 def read_samples(path, n: int) -> FileSampleStream:
     path = Path(path)
     values = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_decode(path, path.read_bytes()).splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

@@ -57,16 +57,6 @@ def collect_counts(
     return CollisionStats(total_samples=S, per_bucket_stat=stat)
 
 
-def moment_threshold(
-    scheme: BucketScheme, j: int, mass: float, eps: float, S: int,
-    slack: float = 1.0,
-) -> float:
-    """Rejection threshold for bucket j at mass `mass`."""
-    return slack * (1.0 + eps / 4.0) * sample_pairs(S) * mass * float(
-        scheme.boundaries[j]
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class MomentReport:
     """Per-bucket verdicts plus the overall accept/reject decision."""

@@ -15,7 +15,6 @@ TAG_INSTANCE = 11
 TAG_Q_STREAM = 12
 TAG_PROBE = 13
 TAG_TRIAL = 14
-TAG_CALIBRATE = 15
 
 
 def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:

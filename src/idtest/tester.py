@@ -8,7 +8,7 @@ pipeline ever scans the domain, which the query audit enforces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class TesterConfig:
     trials_for_amplification: int = 1
     master_seed: int = 0
     mode: str = "practical"
-    literal_probe_normalization: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 2.0:
@@ -81,25 +80,7 @@ class TesterConfig:
             c3=self.c3,
             mode=self.mode,
             budget_scale=self.budget_scale,
-            literal_probe_normalization=self.literal_probe_normalization,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "C": self.C,
-            "C_prime": self.C_prime,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "c4": self.c4,
-            "gamma": self.gamma,
-            "budget_scale": self.budget_scale,
-            "trials_for_amplification": self.trials_for_amplification,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-            "literal_probe_normalization": self.literal_probe_normalization,
-        }
 
 
 class QueryCounter:
@@ -171,15 +152,20 @@ class Verdict:
             "trial_index": self.trial_index,
             "coarse": self.coarse.to_dict(),
             "moment": self.moment.to_dict() if self.moment is not None else None,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
         }
+
+
+def _plan(n: int, config: TesterConfig):
+    """Bucket scheme, coarse phase sizes and collision sample size S."""
+    scheme = build_scheme(n, config.eps, config.C)
+    sizes = phase_sizes(scheme, config.coarse_config())
+    return scheme, sizes, moment_sample_size(n, config.eps, config.c4)
 
 
 def closed_form_budget(n: int, config: TesterConfig) -> dict:
     """The work budget B(n, eps, config) = m1 + s1 + s2 + S, no sampling."""
-    scheme = build_scheme(n, config.eps, config.C)
-    sizes = phase_sizes(scheme, config.coarse_config())
-    S = moment_sample_size(n, config.eps, config.c4)
+    _, sizes, S = _plan(n, config)
     return {
         "m1": sizes.m1,
         "s1": sizes.s1,
@@ -205,15 +191,12 @@ def identity_test(
     """
     if source.n != p.n:
         raise DomainMismatch(f"source domain {source.n} != pmf domain {p.n}")
-    scheme = build_scheme(p.n, config.eps, config.C)
-    ccfg = config.coarse_config()
-    sizes = phase_sizes(scheme, ccfg)
-    S = moment_sample_size(p.n, config.eps, config.c4)
+    scheme, sizes, S = _plan(p.n, config)
     counter = QueryCounter(p)
     draws_before = source.draws
     probe_rng = spawn_rng(config.master_seed, TAG_PROBE, trial_index)
 
-    cv = coarse_compare(source, counter, scheme, ccfg, probe_rng)
+    cv = coarse_compare(source, counter, scheme, config.coarse_config(), probe_rng)
     size_info = {
         "m1": sizes.m1,
         "s1": sizes.s1,
@@ -278,26 +261,12 @@ def amplified_test(
     rejects = sum(1 for v in verdicts if v.decision == DECISION_REJECT)
     majority = DECISION_REJECT if rejects > trials / 2 else DECISION_ACCEPT
     lead = next(v for v in verdicts if v.decision == majority)
-    if trials == 1:
-        return verdicts[0]
-    merged = Verdict(
-        decision=majority,
-        stage=lead.stage,
-        triggering_bucket=lead.triggering_bucket,
+    return replace(
+        lead,
         q_samples_used=sum(v.q_samples_used for v in verdicts),
         p_queries_used=sum(v.p_queries_used for v in verdicts),
         distinct_p_queried=max(v.distinct_p_queried for v in verdicts),
-        sizes=lead.sizes,
-        k=lead.k,
-        j_star=lead.j_star,
-        j_star_degenerate=lead.j_star_degenerate,
-        coarse=lead.coarse,
-        moment=lead.moment,
-        seed=config.master_seed,
-        trial_index=lead.trial_index,
-        config=config,
     )
-    return merged
 
 
 @dataclass(frozen=True)
@@ -310,18 +279,6 @@ class AuditReport:
     p_query_budget: int
     used_over_budget: float
     budget_over_n: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "q_samples_used": self.q_samples_used,
-            "p_queries_used": self.p_queries_used,
-            "distinct_p_queried": self.distinct_p_queried,
-            "q_sample_budget": self.q_sample_budget,
-            "p_query_budget": self.p_query_budget,
-            "used_over_budget": self.used_over_budget,
-            "budget_over_n": self.budget_over_n,
-        }
 
 
 def query_audit(verdict: Verdict, n: int, config: TesterConfig) -> AuditReport:

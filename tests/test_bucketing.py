@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idtest.bucketing import (
-    bucket_index,
-    bucket_indices,
-    bucket_upper,
-    build_scheme,
-    exact_bucket_masses,
-)
+from idtest.bucketing import bucket_indices, build_scheme, exact_bucket_masses
 from idtest.distributions import (
     perturbed_pmf,
     point_mass_pmf,
@@ -21,7 +15,7 @@ from idtest.distributions import (
     validate_pmf,
     zipf_pmf,
 )
-from idtest.errors import BadParams, DomainMismatch, IndexOutOfRange
+from idtest.errors import BadParams, DomainMismatch
 
 
 def membership_predicate(scheme, prob, j):
@@ -52,8 +46,8 @@ class TestBuildScheme:
             eps = float(rng.uniform(0.01, 2.0))
             C = float(rng.uniform(1.0, 200.0))
             s = build_scheme(n, eps, C)
-            assert bucket_upper(s, s.k) >= 1.0
-            assert bucket_index(s, 1.0) == s.k
+            assert s.boundaries[s.k] >= 1.0
+            assert bucket_indices(s, [1.0])[0] == s.k
             assert 0 <= s.j_star <= s.k
 
     def test_bad_params(self):
@@ -70,31 +64,30 @@ class TestBuildScheme:
 class TestBucketIndex:
     def test_zero_is_bucket_zero(self):
         s = build_scheme(100, 0.5, 10.0)
-        assert bucket_index(s, 0.0) == 0
+        assert bucket_indices(s, [0.0])[0] == 0
 
     def test_boundary_inclusivity(self):
         # upper boundaries belong to their bucket: base -> 0,
         # base*(1+eps') -> 1
         s = build_scheme(100, 0.5, 10.0)
-        assert bucket_index(s, s.base) == 0
-        assert bucket_index(s, s.base * (1.0 + s.eps_prime)) == 1
+        assert bucket_indices(s, [s.base, s.base * (1.0 + s.eps_prime)]).tolist() == [0, 1]
 
     def test_reference_upper_value(self):
         s = build_scheme(1024, 0.5, 100.0)
-        up = bucket_upper(s, 973)
+        up = s.boundaries[973]
         assert up == pytest.approx(0.031276, rel=1e-4)
         assert up > 1 / 32
-        assert bucket_index(s, 1 / 32) == 973
+        assert bucket_indices(s, [1 / 32])[0] == 973
 
     def test_boundary_exactness(self):
-        # bucket_index(upper(j)) == j and a nudge above lands in j+1
+        # the upper boundary of bucket j lands in j and a nudge above in j+1
         s = build_scheme(512, 0.7, 20.0)
         js = [1, 2, 3, s.k // 3, s.k // 2, s.k - 1, s.k]
         for j in js:
-            up = bucket_upper(s, j)
-            assert bucket_index(s, up) == j
+            up = s.boundaries[j]
+            assert bucket_indices(s, [up])[0] == j
             if j < s.k and up * (1 + 1e-12) <= 1.0:
-                assert bucket_index(s, up * (1 + 1e-12)) == j + 1
+                assert bucket_indices(s, [up * (1 + 1e-12)])[0] == j + 1
 
     @pytest.mark.parametrize("n,eps,C", [(400, 2.0, 1.0), (1024, 0.5, 100.0)])
     def test_int64_equals_clipped_searchsorted(self, n, eps, C):
@@ -144,14 +137,7 @@ class TestBucketIndex:
 class TestBucketUpper:
     def test_j_zero_is_base(self):
         s = build_scheme(64, 1.0, 4.0)
-        assert bucket_upper(s, 0) == s.base
-
-    def test_index_out_of_range(self):
-        s = build_scheme(64, 1.0, 4.0)
-        with pytest.raises(IndexOutOfRange):
-            bucket_upper(s, s.k + 1)
-        with pytest.raises(IndexOutOfRange):
-            bucket_upper(s, -1)
+        assert s.boundaries[0] == s.base
 
 
 def brute_force_masses(scheme, p):
@@ -170,7 +156,7 @@ class TestExactBucketMasses:
     def test_uniform_single_bucket(self):
         s = build_scheme(100, 0.5, 10.0)
         masses = exact_bucket_masses(s, uniform_pmf(100))
-        j = bucket_index(s, 0.01)
+        j = bucket_indices(s, [0.01])[0]
         assert masses[j] == pytest.approx(1.0)
         assert np.count_nonzero(masses) == 1
 

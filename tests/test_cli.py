@@ -1,12 +1,23 @@
 """CLI behaviour: exit codes, JSON output, file handling, determinism."""
 
+import ast
+import contextlib
+import io
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import idtest
 from idtest.cli import main
-from idtest.io import read_pmf
+from idtest.io import PMF_MAGIC, read_pmf
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +196,16 @@ class TestTest:
         assert code == 2
         assert "q source" in err
 
+    def test_two_q_sources_is_usage_error(self, tmp_path, capsys):
+        pmf = make_uniform_pmf_file(tmp_path, 16)
+        code, out, err = run_cli(
+            capsys, "test", "--pmf", str(pmf), "--q", "self", "--q-pmf", str(pmf),
+            "--eps", "0.5", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exactly one q source" in err
+
     def test_amplified_trials(self, tmp_path, capsys):
         pmf = make_uniform_pmf_file(tmp_path, 256)
         code, out, _ = run_cli(
@@ -290,3 +311,127 @@ class TestDeterminism:
         files2 = (tmp_path / "g-p.pmf").read_bytes(), (tmp_path / "g-q.pmf").read_bytes()
         assert out1 == out2
         assert files1 == files2
+
+
+TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        TEST_ARGS + ["--seed", "-1"],
+        TEST_ARGS + ["--seed", "1", "--trials", "0"],
+        ["bench", "--n-grid", "256", "--eps", "0.5", "--seed", "1",
+         "--trials-per-point", "0"],
+    ]
+    + [
+        ["lemma-check", "--n", str(n), "--delta", "0.1", "--trials", "3", "--seed", "1"]
+        for n in range(2, 10)
+    ],
+    ids=["seed-negative", "trials-zero", "trials-per-point-zero"]
+    + [f"lemma-check-n{n}" for n in range(2, 10)],
+)
+def test_bad_value_exits_two(tmp_path, capsys, argv):
+    pmf = make_uniform_pmf_file(tmp_path, 16)
+    code, out, err = run_cli(capsys, *(a.format(pmf=pmf) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def pmf_text(values):
+    return "".join(f"{v!r}\n" for v in values).encode()
+
+
+def pmf_binary(values, n_extra=0, cut=0):
+    n_header = max(len(values) + n_extra, 0)
+    raw = PMF_MAGIC + struct.pack("<Q", n_header) + struct.pack(f"<{len(values)}d", *values)
+    return raw[: len(raw) - cut]
+
+
+def samples_text(count, top):
+    return "".join(f"{1 + i % top}\n" for i in range(count)).encode()
+
+
+pmfs = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=64).map(
+    lambda w: [x / sum(w) for x in w]
+)
+raw_values = st.lists(
+    st.sampled_from([0.0, 0.5, 1.0, -0.5, float("nan"), float("inf")])
+    | st.floats(0.0, 1.0),
+    min_size=1,
+    max_size=64,
+)
+pmf_files = st.one_of(
+    pmfs.map(pmf_text),
+    pmfs.map(pmf_binary),
+    raw_values.map(pmf_text),
+    st.builds(
+        pmf_binary,
+        raw_values | pmfs,
+        st.sampled_from([0, 1, -1, 2**40]),
+        st.sampled_from([0, 1, 8, 13]),
+    ),
+    st.binary(max_size=80),
+)
+sample_files = st.builds(samples_text, st.integers(0, 4000), st.integers(1, 70))
+
+
+@given(
+    p_bytes=pmf_files,
+    q=st.sampled_from(["self", "self", "pmf", "file"]),
+    q_bytes=pmf_files | sample_files | st.binary(max_size=40),
+    eps=st.sampled_from(["0.5", "1", "2", "0.5", "1", "2", "0", "2.5"]),
+    seed=st.sampled_from(["1", "0", str(2**64), "1", "0", "-1"]),
+    trials=st.sampled_from([None, "1", "3", None, "1", "3", "0", "2"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_exit_code_fuzz(tmp_path_factory, p_bytes, q, q_bytes, eps, seed, trials):
+    # every input ends in a verdict (0 accept, 1 reject) or in exit 2 with a message
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "p.pmf").write_bytes(p_bytes)
+    (d / "q").write_bytes(q_bytes)
+    argv = ["test", "--pmf", str(d / "p.pmf"), "--eps", eps, "--seed", seed]
+    argv += {"self": ["--q", "self"], "pmf": ["--q-pmf", str(d / "q")],
+             "file": ["--q-file", str(d / "q")]}[q]
+    if trials is not None:
+        argv += ["--trials", trials]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert json.loads(out.getvalue())["decision"] == ("accept", "reject")[code]
+
+
+class TestOptimizedMode:
+    def test_no_assert_statements(self):
+        # invariants must raise, so that they also hold under python -O
+        src = Path(idtest.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+    def test_dash_o_output_byte_identical(self, tmp_path):
+        from idtest.distributions import zipf_pmf
+        from idtest.io import write_pmf
+
+        pmf = tmp_path / "z.pmf"
+        write_pmf(pmf, zipf_pmf(256))
+        env = {**os.environ, "PYTHONPATH": str(Path(idtest.__file__).parent.parent)}
+        argv = ["-m", "idtest.cli", "test", "--pmf", str(pmf), "--q", "self",
+                "--eps", "0.5", "--seed", "1"]
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, check=False)
+            for flags in ([], ["-O"])
+        )
+        assert plain.returncode in (0, 1)
+        assert plain.stdout and optimized.stdout == plain.stdout
+        assert optimized.returncode == plain.returncode

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idtest.bucketing import build_scheme, exact_bucket_masses
+from idtest.bucketing import bucket_indices, build_scheme, exact_bucket_masses
 from idtest.coarse import (
     CASE1,
     CASE2,
@@ -78,9 +78,7 @@ class TestEstimateQ:
         s = build_scheme(n, 2.0, 1.0)
         stream = FileSampleStream(np.full(30, 2), n=n)
         q_hat = estimate_q(stream, p, s, 30)
-        from idtest.bucketing import bucket_index
-
-        j = bucket_index(s, p.prob(2))
+        j = bucket_indices(s, p.probs[[2]])[0]
         assert q_hat[j] == 1.0
         assert q_hat.sum() == pytest.approx(1.0)
 
@@ -127,9 +125,7 @@ class TestCollectHeavySupport:
         probs[5] = 0.82
         p = validate_pmf(probs)
         s = build_scheme(n, 2.0, 1.0)
-        from idtest.bucketing import bucket_index
-
-        j5 = bucket_index(s, 0.82)
+        j5 = bucket_indices(s, [0.82])[0]
         assert j5 >= s.j_star
         stream = FileSampleStream(np.array([5, 5, 5]), n=n)
         heavy = collect_heavy_support(stream, p, s, 3)
@@ -198,9 +194,7 @@ class TestUniformProbe:
         p = uniform_pmf(n)
         s = build_scheme(n, 0.5, 100.0)
         probe = uniform_probe(p, s, 1000, spawn_rng(1, TAG_PROBE))
-        from idtest.bucketing import bucket_index
-
-        b = bucket_index(s, 1.0 / n)
+        b = bucket_indices(s, [1.0 / n])[0]
         assert b < s.j_star
         assert probe[b] == pytest.approx(1.0)
         assert probe.sum() == pytest.approx(1.0)
@@ -228,16 +222,6 @@ class TestUniformProbe:
         se = samples.std(axis=0, ddof=1) / math.sqrt(trials)
         for j in range(s.j_star):
             assert abs(mean[j] - truth[j]) <= 5 * max(se[j], 1e-12)
-
-    def test_literal_normalization_flag(self):
-        n = 64
-        p = zipf_pmf(n)
-        s = build_scheme(n, 2.0, 1.0)
-        a = uniform_probe(p, s, 400, spawn_rng(5, TAG_PROBE))
-        b = uniform_probe(
-            p, s, 400, spawn_rng(5, TAG_PROBE), literal_normalization=True
-        )
-        assert np.allclose(a, b * n)
 
     def test_contribution_bound_holds(self):
         # every light-bucket contribution is below (1+eps')/sqrt(n)

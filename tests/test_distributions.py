@@ -11,7 +11,6 @@ from idtest.distributions import (
     AliasSampler,
     _build_alias_tables,
     FileSampleStream,
-    build_sampler,
     generate_instance,
     advertised_distance,
     l1_distance,
@@ -35,7 +34,7 @@ class TestValidatePmf:
     def test_uniform_two(self):
         p = validate_pmf([0.5, 0.5])
         assert p.n == 2
-        assert p.prob(0) == 0.5
+        assert p.probs[0] == 0.5
 
     def test_sum_out_of_tolerance(self):
         with pytest.raises(SumOutOfTolerance) as exc:
@@ -161,24 +160,24 @@ alias_pmfs = st.one_of(
 
 class TestAliasSampler:
     def test_point_mass_every_draw(self):
-        s = build_sampler(point_mass_pmf(10, 3), seed=99)
+        s = AliasSampler(point_mass_pmf(10, 3), seed=99)
         assert np.all(s.draw_many(500) == 3)
 
     def test_determinism_same_seed(self):
-        a = build_sampler(uniform_pmf(4), seed=1).draw_many(1000)
-        b = build_sampler(uniform_pmf(4), seed=1).draw_many(1000)
+        a = AliasSampler(uniform_pmf(4), seed=1).draw_many(1000)
+        b = AliasSampler(uniform_pmf(4), seed=1).draw_many(1000)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = build_sampler(uniform_pmf(100), seed=1).draw_many(1000)
-        b = build_sampler(uniform_pmf(100), seed=2).draw_many(1000)
+        a = AliasSampler(uniform_pmf(100), seed=1).draw_many(1000)
+        b = AliasSampler(uniform_pmf(100), seed=2).draw_many(1000)
         assert not np.array_equal(a, b)
 
     def test_batch_invariance(self):
         # two sub-generators (index, acceptance) make draw sequences
         # independent of how draws are batched
-        s1 = build_sampler(zipf_pmf(50), seed=5)
-        s2 = build_sampler(zipf_pmf(50), seed=5)
+        s1 = AliasSampler(zipf_pmf(50), seed=5)
+        s2 = AliasSampler(zipf_pmf(50), seed=5)
         a = np.concatenate([s1.draw_many(10), s1.draw_many(7), s1.draw_many(3)])
         b = s2.draw_many(20)
         assert np.array_equal(a, b)
@@ -186,7 +185,7 @@ class TestAliasSampler:
     def test_uniform_frequencies_concentrate(self):
         # binomial concentration: per-index freq is 0.01 +/- 20 sigma
         # (sigma ~ 1e-4 at m = 1e6), so [0.008, 0.012] is certain
-        s = build_sampler(uniform_pmf(100), seed=7)
+        s = AliasSampler(uniform_pmf(100), seed=7)
         counts = np.bincount(s.draw_many(10**6), minlength=100)
         freqs = counts / 1e6
         assert freqs.min() >= 0.008 and freqs.max() <= 0.012
@@ -195,15 +194,15 @@ class TestAliasSampler:
     def test_empirical_tv_distance(self, pmf_fn):
         n, m = 100, 10**6
         p = pmf_fn(n)
-        s = build_sampler(p, seed=11)
+        s = AliasSampler(p, seed=11)
         emp = np.bincount(s.draw_many(m), minlength=n) / m
         tv = 0.5 * np.abs(emp - p.probs).sum()
         assert tv <= 3.0 * np.sqrt(n / m)
 
     def test_draw_counter(self):
-        s = build_sampler(uniform_pmf(10), seed=0)
+        s = AliasSampler(uniform_pmf(10), seed=0)
         s.draw_many(10)
-        s.draw()
+        s.draw_many(1)
         s.draw_many(5)
         assert s.draws == 16
 
@@ -237,7 +236,7 @@ class TestAliasSampler:
         assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest() == digest
 
     def test_spawn_shares_tables_fresh_counter(self):
-        s = build_sampler(zipf_pmf(30), seed=0)
+        s = AliasSampler(zipf_pmf(30), seed=0)
         s.draw_many(5)
         child = s.spawn(seed=1)
         assert child.draws == 0
@@ -247,7 +246,7 @@ class TestAliasSampler:
 class TestFileSampleStream:
     def test_replay_and_counter(self):
         st_ = FileSampleStream(np.array([3, 1, 4, 1, 5]), n=6)
-        assert st_.draw() == 3
+        assert st_.draw_many(1).tolist() == [3]
         assert np.array_equal(st_.draw_many(2), [1, 4])
         assert st_.draws == 3
         assert st_.remaining == 2

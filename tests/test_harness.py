@@ -58,8 +58,8 @@ class TestRunTrials:
     def test_deterministic_given_seed(self):
         inst = make_instance("identical-uniform", 128, seed=0)
         cfg = TesterConfig(eps=0.5)
-        a = run_trials(inst, cfg, trials=30, master_seed=5).to_dict()
-        b = run_trials(inst, cfg, trials=30, master_seed=5).to_dict()
+        a = run_trials(inst, cfg, trials=30, master_seed=5)
+        b = run_trials(inst, cfg, trials=30, master_seed=5)
         assert a == b
 
     def test_jobs_do_not_change_results(self):
@@ -67,7 +67,7 @@ class TestRunTrials:
         cfg = TesterConfig(eps=0.5)
         seq = run_trials(inst, cfg, trials=32, master_seed=6)
         par = run_trials(inst, cfg, trials=32, master_seed=6, jobs=2)
-        assert seq.to_dict() == par.to_dict()
+        assert seq == par
 
     def test_report_fields(self):
         inst = make_instance("random-half", 64, seed=1)

@@ -73,7 +73,7 @@ class TestSamples:
         stream = read_samples(path, n=6)
         assert np.array_equal(stream.draw_many(3), [0, 4, 2])
         with pytest.raises(SampleExhausted):
-            stream.draw()
+            stream.draw_many(1)
 
     def test_out_of_range_index(self, tmp_path):
         path = tmp_path / "y.samples"

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from idtest.bucketing import (
-    bucket_index,
-    bucket_indices,
-    build_scheme,
-    exact_bucket_masses,
-)
+from idtest.bucketing import bucket_indices, build_scheme, exact_bucket_masses
 from idtest.distributions import (
     AliasSampler,
     FileSampleStream,
@@ -24,7 +19,6 @@ from idtest.moment import (
     collect_counts,
     moment_decide,
     moment_sample_size,
-    moment_threshold,
     sample_pairs,
 )
 from idtest.rng import TAG_TRIAL, seed_sequence
@@ -43,7 +37,7 @@ class TestCollectCounts:
         stream = FileSampleStream(np.array([7, 7, 9]), n=n)
         stats = collect_counts(stream, counter, s, 3)
         assert counter.total == counter.distinct_count == 2
-        j = bucket_index(s, 1.0 / n)
+        j = bucket_indices(s, [1.0 / n])[0]
         assert stats.per_bucket_stat[j] == pytest.approx(1.0)
         assert stats.per_bucket_stat.sum() == pytest.approx(1.0)
 
@@ -63,7 +57,7 @@ class TestCollectCounts:
         counter = QueryCounter(p)
         stream = FileSampleStream(np.full(S, 4), n=n)
         stats = collect_counts(stream, counter, s, S)
-        j = bucket_index(s, 0.1)
+        j = bucket_indices(s, [0.1])[0]
         assert stats.per_bucket_stat[j] == sample_pairs(S)
         assert stats.total_samples == S
         assert counter.total == 1  # all S samples on one index
@@ -147,6 +141,9 @@ class TestMomentDecide:
         stat[bucket] = value
         return CollisionStats(total_samples=S, per_bucket_stat=stat)
 
+    def threshold(self, s, masses, j):
+        return moment_decide(self.stats_with(s, j, 0.0), masses, s, 0.5).thresholds[j]
+
     def test_zero_stats_accept(self):
         _, s, masses = self.make()
         stats = CollisionStats(100, np.zeros(s.k + 1))
@@ -156,7 +153,7 @@ class TestMomentDecide:
         # rejection requires strict exceedance
         _, s, masses = self.make()
         j = int(np.nonzero(masses)[0][0])
-        thr = moment_threshold(s, j, masses[j], 0.5, S=100)
+        thr = self.threshold(s, masses, j)
         report = moment_decide(self.stats_with(s, j, thr), masses, s, 0.5)
         assert report.accept
         nudged = self.stats_with(s, j, thr * (1 + 1e-9))
@@ -186,7 +183,7 @@ class TestMomentDecide:
     def test_monotonicity_more_collisions_never_unreject(self):
         _, s, masses = self.make()
         j = int(np.nonzero(masses)[0][0])
-        thr = moment_threshold(s, j, masses[j], 0.5, S=100)
+        thr = self.threshold(s, masses, j)
         lo = moment_decide(self.stats_with(s, j, thr * 1.5), masses, s, 0.5)
         hi = moment_decide(self.stats_with(s, j, thr * 3.0), masses, s, 0.5)
         assert not lo.accept and not hi.accept
@@ -195,7 +192,7 @@ class TestMomentDecide:
     def test_slack_scales_threshold(self):
         _, s, masses = self.make()
         j = int(np.nonzero(masses)[0][0])
-        thr = moment_threshold(s, j, masses[j], 0.5, S=100)
+        thr = self.threshold(s, masses, j)
         stats = self.stats_with(s, j, thr * 1.5)
         assert not moment_decide(stats, masses, s, 0.5, slack=1.0).accept
         assert moment_decide(stats, masses, s, 0.5, slack=2.0).accept
