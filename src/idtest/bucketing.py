@@ -7,11 +7,23 @@ p_i <= eps/(2n); bucket j > 0 holds p_i in
 eps' = eps/C. Lower boundaries are strict, upper boundaries inclusive, and
 the implementation evaluates membership against precomputed boundary
 values so the convention holds bit-exactly.
+
+Lookup reads the bucket off the float's bits. For non-negative doubles the
+int64 bit pattern is monotone in the value, so `bits >> shift` cuts the line
+into cells, each narrower than 2^-B of its own lowest value, with
+2^-B <= eps'/2. Consecutive boundaries differ by the ratio 1 + eps', so a
+cell holds at most one of them: every value in a cell lies in the bucket of
+the cell's lowest value or in the next one, and one comparison with that
+bucket's upper boundary decides. The cell table covers the cells from
+boundaries[0] to boundaries[k], O(k) entries; values outside it (negative
+numbers, -0.0, subnormals, anything above boundaries[k]) clip to an end cell
+and the same comparison places them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +52,11 @@ class BucketScheme:
     j_star: int
     # boundaries[j] = base * (1+eps')**j, the inclusive upper bound of R_j
     boundaries: np.ndarray = field(repr=False)
+    # float64 bits >> cell_shift is a value's cell; cell_bucket[c - cell_lo]
+    # is the bucket of the lowest value of cell c
+    cell_shift: int = field(repr=False)
+    cell_lo: int = field(repr=False)
+    cell_bucket: np.ndarray = field(repr=False)
 
     @property
     def j_star_degenerate(self) -> bool:
@@ -52,13 +69,22 @@ class BucketScheme:
 
 
 def build_scheme(n: int, eps: float, C: float) -> BucketScheme:
-    """Build the bucket scheme; k is O((1/eps) * log(n/eps))."""
+    """Build the bucket scheme; k is O((1/eps) * log(n/eps)).
+
+    Schemes are cached on (n, eps, C): equal arguments return the same
+    object, whose arrays are read-only.
+    """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise BadParams("n must be an integer >= 2")
     if not 0.0 < eps <= 2.0:
         raise BadParams("eps must be in (0, 2]")
-    if C < 1.0:
+    if not C >= 1.0:
         raise BadParams("C must be >= 1")
+    return _build_scheme(int(n), float(eps), float(C))
+
+
+@lru_cache(maxsize=8)
+def _build_scheme(n: int, eps: float, C: float) -> BucketScheme:
     eps_prime = eps / C
     base = eps / (2.0 * n)
     k = math.ceil(math.log(2.0 * n / eps) / math.log1p(eps_prime))
@@ -70,30 +96,52 @@ def build_scheme(n: int, eps: float, C: float) -> BucketScheme:
     boundaries.flags.writeable = False
     j_star = int(np.searchsorted(boundaries, 1.0 / math.sqrt(n), side="left"))
     j_star = min(max(j_star, 0), k)
+    # a cell of 2^shift ulps, shift = 52 - B with B = ceil(log2(1/eps')) + 1,
+    # is at most 2^-B <= eps'/2 of its lowest value wide: one boundary at most
+    shift = 52 - (math.ceil(math.log2(1.0 / eps_prime)) + 1)
+    lo, hi = (boundaries[[0, -1]].view(np.int64) >> shift).tolist()
+    lowest = (np.arange(lo, hi + 1, dtype=np.int64) << shift).view(np.float64)
+    cell_bucket = np.searchsorted(boundaries, lowest, side="left")
+    cell_bucket.flags.writeable = False
     return BucketScheme(
-        n=int(n),
-        eps=float(eps),
-        C=float(C),
+        n=n,
+        eps=eps,
+        C=C,
         eps_prime=eps_prime,
         k=int(k),
         base=base,
         j_star=j_star,
         boundaries=boundaries,
+        cell_shift=shift,
+        cell_lo=lo,
+        cell_bucket=cell_bucket,
     )
 
 
-def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
-    """Vectorized bucket lookup for probabilities in [0, 1].
+_BLOCK = 1 << 16  # lookup block: temporaries stay O(_BLOCK), not O(len(probs))
 
-    searchsorted against the exact boundary array implements
-    "strict lower, inclusive upper" directly: the result is the first j
-    with prob <= boundaries[j].
+
+def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
+    """Vectorized bucket lookup: the first j with prob <= boundaries[j].
+
+    Equal to min(searchsorted(boundaries, probs, "left"), k) for every
+    non-NaN double. A value's cell (float64 bits >> cell_shift, clipped to
+    the table) gives the bucket j of the cell's lowest value; the cell holds
+    at most one boundary, so the answer is j + (prob > boundaries[j]),
+    capped at k for values above the top boundary.
     """
     arr = np.asarray(probs, dtype=np.float64)
-    j = np.searchsorted(scheme.boundaries, arr, side="left")
-    # probs <= 1 <= boundaries[k] guarantees j <= k; clip is cheap insurance.
-    # Clip in place and convert only where searchsorted's intp is not int64.
-    return np.minimum(j, scheme.k, out=j).astype(np.int64, copy=False)
+    flat = arr.reshape(-1)
+    out = np.empty(flat.size, dtype=np.int64)
+    for a in range(0, flat.size, _BLOCK):
+        x = flat[a : a + _BLOCK]
+        cell = x.view(np.int64) >> scheme.cell_shift
+        cell -= scheme.cell_lo
+        # mode="clip" puts cells outside the table on its end cells
+        j = np.take(scheme.cell_bucket, cell, mode="clip", out=out[a : a + _BLOCK])
+        j += x > np.take(scheme.boundaries, j, mode="clip")
+        np.minimum(j, scheme.k, out=j)
+    return out.reshape(arr.shape)
 
 
 def exact_bucket_masses(
@@ -113,5 +161,8 @@ def exact_bucket_masses(
     weights = p.probs if weight_pmf is None else weight_pmf.probs
     if weights.shape[0] != scheme.n:
         raise DomainMismatch("weight pmf does not match the scheme domain")
-    buckets = bucket_indices(scheme, p.probs)
+    # the definition itself, independent of the cell table of bucket_indices
+    buckets = np.minimum(
+        np.searchsorted(scheme.boundaries, p.probs, side="left"), scheme.k
+    )
     return np.bincount(buckets, weights=weights, minlength=scheme.k + 1)

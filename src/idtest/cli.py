@@ -171,9 +171,10 @@ def cmd_bench(args) -> int:
             f"{wall:.3f},{row['budget']},{row['baseline_total']}"
         )
     if result["slope_total"] is not None:
+        slope_wall = "" if args.no_timing else f" slope_wall={result['slope_wall']:.4f}"
         lines.append(
             f"# slope_total={result['slope_total']:.4f}"
-            f" slope_baseline={result['slope_baseline']:.4f} seed={seed}"
+            f" slope_baseline={result['slope_baseline']:.4f}{slope_wall} seed={seed}"
         )
     else:
         lines.append(f"# singleton grid, no fit; seed={seed}")

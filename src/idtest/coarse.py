@@ -169,10 +169,13 @@ def collect_heavy_support(
     """
     if s1_size < 1:
         raise BadParams("s1_size must be >= 1")
-    draws = source.draw_many(s1_size)
+    # sorted copy: a FileSampleStream hands out a view of its buffer
+    draws = np.sort(source.draw_many(s1_size))
     pv = p.lookup(draws)  # exactly one p-query per draw
-    _, first_pos = np.unique(draws, return_index=True)
-    upv = pv[first_pos]
+    first = np.empty(draws.size, dtype=bool)
+    first[0] = True
+    np.not_equal(draws[1:], draws[:-1], out=first[1:])
+    upv = pv[first]  # one p-value per distinct index, in index order
     buckets = bucket_indices(scheme, upv)
     mask = buckets >= scheme.j_star
     return np.bincount(

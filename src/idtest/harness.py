@@ -239,6 +239,8 @@ def lemma_check(
     """
     if n > 10**4:
         raise BadParams("lemma check needs n <= 10^4 for the exact oracles")
+    if trials < 1:
+        raise BadParams("trials must be >= 1")
     scheme = build_scheme(n, LEMMA_SCHEME_EPS, LEMMA_SCHEME_C)
     if scheme.j_star < 2:
         raise BadParams(
@@ -413,6 +415,7 @@ def scaling_experiment(
 
     The efficient tester's fitted log-log slope lands near 0.5 (plus log
     drift); the baseline's near 1 because its O(n) scan dominates.
+    slope_wall fits the tester's wall time per run (wall_ms) the same way.
     """
     n_grid = [int(n) for n in n_grid]
     if not n_grid:
@@ -452,16 +455,14 @@ def scaling_experiment(
                 "wall_ms": wall_ms,
             }
         )
-    slope = fit_loglog_slope([r["n"] for r in rows], [r["total"] for r in rows])
-    slope_baseline = fit_loglog_slope(
-        [r["n"] for r in rows], [r["baseline_total"] for r in rows]
-    )
+    ns = [r["n"] for r in rows]
     return {
         "eps": eps,
         "master_seed": master_seed,
         "rows": rows,
-        "slope_total": slope,
-        "slope_baseline": slope_baseline,
+        "slope_total": fit_loglog_slope(ns, [r["total"] for r in rows]),
+        "slope_baseline": fit_loglog_slope(ns, [r["baseline_total"] for r in rows]),
+        "slope_wall": fit_loglog_slope(ns, [r["wall_ms"] for r in rows]),
     }
 
 

@@ -67,6 +67,8 @@ class TesterConfig:
             raise BadParams("amplification trials must be odd and >= 1")
         if self.gamma <= 0:
             raise BadParams("gamma must be positive")
+        if self.master_seed < 0:
+            raise BadParams("master_seed must be non-negative")
 
     @property
     def delta(self) -> float:
@@ -103,7 +105,9 @@ class QueryCounter:
 
     @property
     def distinct_count(self) -> int:
-        queried = np.concatenate(self._queried)
+        # indices below n <= 2^31 fit int32, which halves the sort's bytes
+        dtype = np.int32 if self.n <= 2**31 else np.int64
+        queried = np.concatenate(self._queried, dtype=dtype)
         queried.sort()
         changes = int(np.count_nonzero(queried[1:] != queried[:-1]))
         return int(queried.size > 0) + changes

@@ -50,6 +50,15 @@ class TestBuildScheme:
             assert bucket_indices(s, [1.0])[0] == s.k
             assert 0 <= s.j_star <= s.k
 
+    def test_cached_read_only(self):
+        s = build_scheme(1024, 0.5, 100.0)
+        assert build_scheme(np.int64(1024), np.float64(0.5), 100) is s
+        for arr in (s.boundaries, s.cell_bucket):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(BadParams):
+            build_scheme(1024, 0.5, float("nan"))
+
     def test_bad_params(self):
         with pytest.raises(BadParams):
             build_scheme(1, 0.5, 100.0)
@@ -102,6 +111,46 @@ class TestBucketIndex:
         assert got.dtype == np.int64
         want = np.minimum(np.searchsorted(b, probs, side="left"), s.k)
         assert np.array_equal(got, want)
+
+    @given(
+        st.integers(2, 10**7),
+        st.floats(0.01, 2.0, exclude_min=True),
+        st.floats(1.0, 200.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cell_table_equals_clipped_searchsorted(self, n, eps, C, seed):
+        s = build_scheme(n, eps, C)
+        b = s.boundaries
+        rng = np.random.default_rng(seed)
+        probs = np.concatenate([
+            [0.0, -0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0)],
+            b, np.nextafter(b, 0.0), np.nextafter(b, np.inf),
+            rng.random(500),
+            np.exp(rng.uniform(np.log(s.base / 4), np.log(2.0), 500)),
+        ])
+        want = np.minimum(np.searchsorted(b, probs, side="left"), s.k)
+        assert np.array_equal(bucket_indices(s, probs), want)
+
+    def test_cell_table_is_o_of_k(self):
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(300):
+            n = int(np.exp(rng.uniform(np.log(2), np.log(10**7))))
+            s = build_scheme(n, float(rng.uniform(0.01, 2.0)), float(rng.uniform(1.0, 200.0)))
+            worst = max(worst, s.cell_bucket.size / (s.k + 1))
+        assert worst <= 8.0
+
+    def test_blocks_and_shape(self):
+        # more than one lookup block, and the input's shape is kept
+        s = build_scheme(4096, 0.5, 100.0)
+        probs = np.random.default_rng(5).random((3, 70_000)) / 4096
+        want = np.minimum(np.searchsorted(s.boundaries, probs, side="left"), s.k)
+        got = bucket_indices(s, probs)
+        assert got.shape == probs.shape
+        assert np.array_equal(got, want)
+        assert bucket_indices(s, 1.0 / 4096).shape == ()
+        assert np.array_equal(bucket_indices(s, probs[0, ::3]), want[0, ::3])
 
     def test_monotonicity(self):
         s = build_scheme(2048, 0.3, 50.0)

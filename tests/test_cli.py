@@ -254,6 +254,14 @@ class TestBench:
         assert len([l for l in lines if not l.startswith("#")]) == 3  # header + 2
         assert lines[-1].startswith("# slope_total=")
 
+    def test_wall_slope_only_with_timing(self, capsys):
+        argv = ("bench", "--n-grid", "256,1024", "--eps", "0.5", "--seed", "1",
+                "--trials-per-point", "1")
+        _, timed, _ = run_cli(capsys, *argv)
+        _, untimed, _ = run_cli(capsys, *argv, "--no-timing")
+        assert " slope_wall=" in timed.strip().splitlines()[-1]
+        assert "slope_wall" not in untimed
+
     def test_singleton_grid_no_fit(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--n-grid", "512", "--eps", "0.5",
@@ -323,12 +331,13 @@ TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
         TEST_ARGS + ["--seed", "1", "--trials", "0"],
         ["bench", "--n-grid", "256", "--eps", "0.5", "--seed", "1",
          "--trials-per-point", "0"],
+        ["lemma-check", "--n", "100", "--delta", "0.4", "--trials", "0", "--seed", "1"],
     ]
     + [
         ["lemma-check", "--n", str(n), "--delta", "0.1", "--trials", "3", "--seed", "1"]
         for n in range(2, 10)
     ],
-    ids=["seed-negative", "trials-zero", "trials-per-point-zero"]
+    ids=["seed-negative", "trials-zero", "trials-per-point-zero", "lemma-trials-zero"]
     + [f"lemma-check-n{n}" for n in range(2, 10)],
 )
 def test_bad_value_exits_two(tmp_path, capsys, argv):

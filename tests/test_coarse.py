@@ -117,7 +117,42 @@ class TestEstimateQ:
         assert good >= 198  # 99% of 200
 
 
+def reference_heavy_support(source, p, scheme, s1_size):
+    """The np.unique(return_index=True) formulation of collect_heavy_support."""
+    draws = source.draw_many(s1_size)
+    pv = p.lookup(draws)
+    _, first_pos = np.unique(draws, return_index=True)
+    upv = pv[first_pos]
+    buckets = np.minimum(np.searchsorted(scheme.boundaries, upv), scheme.k)
+    mask = buckets >= scheme.j_star
+    return np.bincount(buckets[mask], weights=upv[mask], minlength=scheme.k + 1)
+
+
 class TestCollectHeavySupport:
+    @given(
+        st.integers(2, 300),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=400),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_unique_reference(self, n, seed, us):
+        # same heavy masses bit for bit, same p-queries, buffer untouched
+        rng = np.random.default_rng(seed)
+        p = validate_pmf(rng.dirichlet(np.full(n, 0.3)))
+        s = build_scheme(n, 2.0, 1.0)
+        samples = np.minimum((np.array(us) * n).astype(np.int64), n - 1)
+        kept = samples.copy()
+        got_counter, want_counter = QueryCounter(p), QueryCounter(p)
+        stream = FileSampleStream(samples, n=n)
+        got = collect_heavy_support(stream, got_counter, s, samples.size)
+        want = reference_heavy_support(
+            FileSampleStream(kept, n=n), want_counter, s, kept.size
+        )
+        assert got.tobytes() == want.tobytes()
+        assert got_counter.total == want_counter.total == samples.size
+        assert got_counter.distinct_count == want_counter.distinct_count
+        assert np.array_equal(stream._samples, kept)
+
     def test_deduplication(self):
         # repeated index counted once
         n = 10

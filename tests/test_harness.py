@@ -55,6 +55,11 @@ class TestRunTrials:
         with pytest.raises(BadParams):
             run_trials(inst, TesterConfig(eps=0.5), trials=10, master_seed=0)
 
+    def test_negative_master_seed_is_bad_params(self):
+        inst = make_instance("identical-uniform", 64, seed=0)
+        with pytest.raises(BadParams, match="master_seed"):
+            run_trials(inst, TesterConfig(eps=0.5), trials=30, master_seed=-1)
+
     def test_deterministic_given_seed(self):
         inst = make_instance("identical-uniform", 128, seed=0)
         cfg = TesterConfig(eps=0.5)
@@ -147,6 +152,10 @@ class TestLemmaCheck:
         with pytest.raises(BadParams):
             lemma_check(10**5, 0.1, trials=45)
 
+    def test_no_trials_is_bad_params(self):
+        with pytest.raises(BadParams, match="trials"):
+            lemma_check(100, 0.4, trials=0)
+
 
 class TestBaseline:
     def test_verdict_agreement_on_reference_suite(self):
@@ -183,6 +192,13 @@ class TestScalingExperiment:
         out = scaling_experiment([512], 0.5, trials_per_point=1, master_seed=0)
         assert len(out["rows"]) == 1
         assert out["slope_total"] is None
+        assert out["slope_wall"] is None
+
+    def test_wall_slope_fits_wall_ms(self):
+        out = scaling_experiment([256, 1024], 0.5, trials_per_point=1, master_seed=0)
+        ns = [r["n"] for r in out["rows"]]
+        want = fit_loglog_slope(ns, [r["wall_ms"] for r in out["rows"]])
+        assert out["slope_wall"] == want
 
     def test_empty_grid(self):
         with pytest.raises(BadParams):

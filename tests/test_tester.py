@@ -58,6 +58,12 @@ class TestConfig:
         with pytest.raises(BadParams):
             TesterConfig(eps=0.5, gamma=0.0)
 
+    def test_negative_master_seed_is_bad_params(self):
+        with pytest.raises(BadParams, match="master_seed"):
+            TesterConfig(eps=0.5, master_seed=-1)
+        with pytest.raises(BadParams, match="master_seed"):
+            dataclasses.replace(TesterConfig(eps=0.5), master_seed=-1)
+
 
 class TestIdentityTest:
     def run_once(self, p, q, seed=0, **kw):
@@ -191,6 +197,19 @@ class TestQueryCounter:
         distinct = counter.distinct_count
         assert type(distinct) is int  # lands in the verdict JSON
         assert distinct == len({i for b in batches for i in b})
+
+    def test_indices_beyond_int32_stay_distinct(self):
+        # n > 2^31 keeps int64: narrowing would fold 2^32 + 5 onto 5
+        class HugeStub:
+            n = 2**33
+
+            def lookup(self, indices):
+                return np.zeros(np.shape(indices))
+
+        counter = QueryCounter(HugeStub())
+        counter.lookup(np.array([5, 2**32 + 5, 5], dtype=np.int64))
+        assert counter.total == 3
+        assert counter.distinct_count == 2
 
 
 class TestAmplifiedTest:
