@@ -16,7 +16,6 @@ from .bucketing import (
 from .coarse import (
     CASE1,
     CASE2,
-    CoarseConfig,
     CoarseEstimates,
     CoarseVerdict,
     coarse_compare,

@@ -68,8 +68,17 @@ class BucketScheme:
         return self.j_star == 0 or self.j_star == self.k
 
 
+# Largest bucket count build_scheme accepts. Its arrays take O(k) memory
+# (the cell table up to about 6k entries); the largest scheme in use, n = 10^7,
+# eps = 0.01, C = 200, has k = 428,339.
+MAX_K = 10**6
+
+
 def build_scheme(n: int, eps: float, C: float) -> BucketScheme:
-    """Build the bucket scheme; k is O((1/eps) * log(n/eps)).
+    """Build the bucket scheme; k is O((C/eps) * log(n/eps)).
+
+    Parameters needing more than MAX_K buckets raise BadParams before any
+    array is allocated.
 
     Schemes are cached on (n, eps, C): equal arguments return the same
     object, whose arrays are read-only.
@@ -80,6 +89,12 @@ def build_scheme(n: int, eps: float, C: float) -> BucketScheme:
         raise BadParams("eps must be in (0, 2]")
     if not C >= 1.0:
         raise BadParams("C must be >= 1")
+    # k = ceil(log(2n/eps) / log1p(eps/C)), compared without dividing so
+    # that C = inf (eps' = 0) is caught too
+    if math.log(2.0 * n / eps) > MAX_K * math.log1p(eps / C):
+        raise BadParams(
+            f"n={n}, eps={eps}, C={C} need more than {MAX_K} buckets"
+        )
     return _build_scheme(int(n), float(eps), float(C))
 
 

@@ -20,7 +20,6 @@ from .distributions import AliasSampler, generate_instance, l1_distance
 from .errors import BadParams, IdTestError
 from .harness import (
     CALIBRATION_KNOBS,
-    BaselineConfig,
     calibrate_constants,
     lemma_check,
     scaling_experiment,
@@ -31,7 +30,6 @@ from .tester import (
     DECISION_ACCEPT,
     TesterConfig,
     amplified_test,
-    identity_test,
     query_audit,
 )
 
@@ -55,11 +53,23 @@ def _seed_of(args) -> int:
     return args.seed
 
 
+def _number_list(text: str, kind, flag: str) -> list:
+    try:
+        return [kind(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise BadParams(f"{flag} needs comma-separated numbers, got {text!r}") from None
+
+
 def _tester_config(args, seed: int) -> TesterConfig:
     kw = {"eps": args.eps, "master_seed": seed}
     if getattr(args, "calibration", None):
-        loaded = json.loads(Path(args.calibration).read_text())
-        src = loaded.get("recommended", loaded)
+        try:
+            loaded = json.loads(Path(args.calibration).read_text())
+        except ValueError as exc:
+            raise BadParams(f"--calibration: {exc}") from None
+        src = loaded.get("recommended", loaded) if isinstance(loaded, dict) else None
+        if not isinstance(src, dict):
+            raise BadParams("--calibration needs a JSON object")
         for key in CONFIG_FLAGS:
             if key in src:
                 kw[key] = src[key]
@@ -103,10 +113,7 @@ def cmd_test(args) -> int:
     else:
         source = read_samples(args.q_file, p.n)
         q_desc = f"file:{args.q_file}"
-    if config.trials_for_amplification > 1:
-        verdict = amplified_test(p, source, config)
-    else:
-        verdict = identity_test(p, source, config)
+    verdict = amplified_test(p, source, config)
     audit = query_audit(verdict, p.n, config)
     payload = verdict.to_dict()
     payload["q_source"] = q_desc
@@ -151,7 +158,7 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     seed = _seed_of(args)
-    grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
+    grid = _number_list(args.n_grid, int, "--n-grid")
     if not grid:
         raise IdTestError("empty n grid")
     config = _tester_config(args, seed)
@@ -161,7 +168,6 @@ def cmd_bench(args) -> int:
         config=config,
         trials_per_point=args.trials_per_point,
         master_seed=seed,
-        baseline=BaselineConfig(),
     )
     lines = ["n,q_samples,p_queries,wall_ms,budget,baseline_total"]
     for row in result["rows"]:
@@ -224,7 +230,7 @@ def cmd_calibrate(args) -> int:
     seed = _seed_of(args)
     grids = {k: getattr(args, f"{k}_grid") for k in CALIBRATION_KNOBS}
     space = {
-        k: [float(x) for x in text.split(",") if x.strip()]
+        k: _number_list(text, float, f"--{k}-grid")
         for k, text in grids.items()
         if text is not None
     }

@@ -16,6 +16,11 @@ per-bucket masses of p. Three estimation phases feed a pure decision:
 Heavy buckets are compared at tolerance delta/(8k+8), light buckets at
 delta/(4k+4); the first strict exceedance (heavy checks first, then
 light, each in increasing bucket order) yields Case 2.
+
+phase_sizes turns delta, the multipliers c1-c3, the cap and the mode into
+a PhaseSizes; coarse_compare runs the phases at those sizes. The module
+holds no configuration of its own: the calibrated defaults and their
+checks live on tester.TesterConfig, and callers size a run once.
 """
 from __future__ import annotations
 
@@ -38,8 +43,26 @@ CASE2 = "case2"
 
 
 @dataclass(frozen=True)
-class CoarseConfig:
-    """Sample-size multipliers and mode for the comparator.
+class PhaseSizes:
+    """Sample and query counts of the three phases, and the tolerance delta."""
+
+    delta: float
+    m1: int
+    s1: int
+    s2: int
+    capped: tuple[bool, bool, bool]
+
+
+def phase_sizes(
+    scheme: BucketScheme,
+    delta: float,
+    c1: float,
+    c2: float,
+    c3: float,
+    budget_scale: float | None,
+    mode: str,
+) -> PhaseSizes:
+    """Evaluate the three phase sizes for a scheme (no sampling).
 
     Faithful mode sizes the phases by the asymptotic formulas with the
     multipliers as given (classically stated with unit constants):
@@ -49,60 +72,24 @@ class CoarseConfig:
         s2  = ceil(c3 * (k/delta)^3 * sqrt(n) * ln(k+2))
 
     Practical mode replaces (k/delta)^3 by (k/delta)^2 in s2 (an additive
-    Chernoff bound suffices for the light-bucket tolerance) and caps each
-    phase at ceil(budget_scale * sqrt(n)) so desk-scale runs stay
-    feasible at large k. Thresholds and decision structure are identical
-    in both modes. Defaults are the calibrated values recorded by
-    scripts/run_calibration.py.
+    Chernoff bound suffices for the light-bucket tolerance) and, unless
+    budget_scale is None, caps each phase at ceil(budget_scale * sqrt(n))
+    so desk-scale runs stay feasible at large k. Thresholds and decision
+    structure are identical in both modes. The arguments are not checked
+    here; TesterConfig (and lemma_check for its delta) validates them.
     """
-
-    delta: float
-    c1: float = 64.0
-    c2: float = 4.0
-    c3: float = 8.0
-    mode: str = MODE_PRACTICAL
-    budget_scale: float | None = 150.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 2.0:
-            raise BadParams("delta must be in (0, 2]")
-        if min(self.c1, self.c2, self.c3) <= 0:
-            raise BadParams("multipliers must be positive")
-        if self.mode not in (MODE_FAITHFUL, MODE_PRACTICAL):
-            raise BadParams(f"unknown mode {self.mode!r}")
-        if self.budget_scale is not None and self.budget_scale <= 0:
-            raise BadParams("budget_scale must be positive or None")
-
-    @classmethod
-    def faithful(cls, delta: float, **overrides) -> "CoarseConfig":
-        """Unit-constant faithful configuration."""
-        kw = dict(c1=1.0, c2=1.0, c3=1.0, mode=MODE_FAITHFUL, budget_scale=None)
-        kw.update(overrides)
-        return cls(delta, **kw)
-
-
-@dataclass(frozen=True)
-class PhaseSizes:
-    m1: int
-    s1: int
-    s2: int
-    capped: tuple[bool, bool, bool]
-
-
-def phase_sizes(scheme: BucketScheme, config: CoarseConfig) -> PhaseSizes:
-    """Evaluate the three phase sizes for a scheme (no sampling)."""
-    n, k, d = scheme.n, scheme.k, config.delta
+    n, k = scheme.n, scheme.k
     lk = math.log(k + 2)
-    m1 = math.ceil(config.c1 * (k / d) ** 2 * lk)
-    s1 = math.ceil(config.c2 * math.sqrt(n) * math.log(n + 1))
-    s2_exp = 3 if config.mode == MODE_FAITHFUL else 2
-    s2 = math.ceil(config.c3 * (k / d) ** s2_exp * math.sqrt(n) * lk)
+    m1 = math.ceil(c1 * (k / delta) ** 2 * lk)
+    s1 = math.ceil(c2 * math.sqrt(n) * math.log(n + 1))
+    s2_exp = 3 if mode == MODE_FAITHFUL else 2
+    s2 = math.ceil(c3 * (k / delta) ** s2_exp * math.sqrt(n) * lk)
     capped = (False, False, False)
-    if config.mode == MODE_PRACTICAL and config.budget_scale is not None:
-        cap = math.ceil(config.budget_scale * math.sqrt(n))
+    if mode == MODE_PRACTICAL and budget_scale is not None:
+        cap = math.ceil(budget_scale * math.sqrt(n))
         capped = (m1 > cap, s1 > cap, s2 > cap)
         m1, s1, s2 = min(m1, cap), min(s1, cap), min(s2, cap)
-    return PhaseSizes(m1=m1, s1=s1, s2=s2, capped=capped)
+    return PhaseSizes(delta=delta, m1=m1, s1=s1, s2=s2, capped=capped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +206,7 @@ def uniform_probe(
 
 
 def coarse_decide(
-    estimates: CoarseEstimates, scheme: BucketScheme, config: CoarseConfig
+    estimates: CoarseEstimates, scheme: BucketScheme, delta: float
 ) -> CoarseVerdict:
     """Pure threshold decision over the collected estimates.
 
@@ -228,8 +215,8 @@ def coarse_decide(
     in increasing bucket order; the first strict exceedance is reported.
     """
     k = scheme.k
-    thr_heavy = config.delta / (8 * k + 8)
-    thr_probe = config.delta / (4 * k + 4)
+    thr_heavy = delta / (8 * k + 8)
+    thr_probe = delta / (4 * k + 4)
     q_hat = estimates.q_hat
 
     heavy_dev = np.abs(q_hat - estimates.heavy_mass)
@@ -250,18 +237,17 @@ def coarse_compare(
     source: SampleStream,
     p,
     scheme: BucketScheme,
-    config: CoarseConfig,
+    sizes: PhaseSizes,
     rng: np.random.Generator,
 ) -> CoarseVerdict:
-    """Run all three phases and decide.
+    """Run all three phases at the given sizes and decide at sizes.delta.
 
     Consumes m1 + s1 q-samples and performs m1 + s1 + s2 p-queries.
     """
-    sizes = phase_sizes(scheme, config)
     q_hat = estimate_q(source, p, scheme, sizes.m1)
     heavy = collect_heavy_support(source, p, scheme, sizes.s1)
     probe = uniform_probe(p, scheme, sizes.s2, rng)
     estimates = CoarseEstimates(
         q_hat=q_hat, heavy_mass=heavy, probe_mass=probe, s2_size=sizes.s2
     )
-    return coarse_decide(estimates, scheme, config)
+    return coarse_decide(estimates, scheme, sizes.delta)

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .bucketing import bucket_indices, build_scheme, exact_bucket_masses
-from .coarse import CASE1, CASE2, CoarseConfig, coarse_compare
+from .coarse import CASE1, CASE2, MODE_PRACTICAL, coarse_compare, phase_sizes
 from .distributions import (
     AliasSampler,
     ProbabilityVector,
@@ -207,14 +207,14 @@ def shifted_bucket_pair(
     return validate_pmf(q)
 
 
-def _comparator_batch(p, q, scheme, config, want_case, master_seed, indices) -> int:
+def _comparator_batch(p, q, scheme, sizes, want_case, master_seed, indices) -> int:
     """Comparator runs for lemma_check; the number that decided want_case."""
     proto = AliasSampler(q, 0)
     successes = 0
     for t in indices:
         stream = proto.spawn(seed_sequence(master_seed, TAG_TRIAL, t))
         rng = spawn_rng(master_seed, TAG_PROBE, t)
-        verdict = coarse_compare(stream, p, scheme, config, rng)
+        verdict = coarse_compare(stream, p, scheme, sizes, rng)
         successes += verdict.case == want_case
     return successes
 
@@ -224,11 +224,15 @@ def lemma_check(
     delta: float,
     trials: int = 300,
     master_seed: int = 0,
-    config: CoarseConfig | None = None,
+    config: TesterConfig | None = None,
     include_gap: bool = True,
     jobs: int = 1,
 ) -> dict:
     """Verify the comparator's Case 1 / Case 2 separation statistically.
+
+    The comparator runs at tolerance delta with the c1-c3 of config
+    (default: TesterConfig's), in practical mode and uncapped; the other
+    fields of config are not used.
 
     Case 1 families are p = q over three pmf shapes. Case 2 families move
     delta/2 of q-mass between two buckets of a zipf base, one move into a
@@ -239,6 +243,8 @@ def lemma_check(
     """
     if n > 10**4:
         raise BadParams("lemma check needs n <= 10^4 for the exact oracles")
+    if not 0.0 < delta <= 2.0:
+        raise BadParams("delta must be in (0, 2]")
     if trials < 1:
         raise BadParams("trials must be >= 1")
     scheme = build_scheme(n, LEMMA_SCHEME_EPS, LEMMA_SCHEME_C)
@@ -247,7 +253,10 @@ def lemma_check(
             f"lemma check needs two light buckets; n={n} gives j_star={scheme.j_star}"
         )
     if config is None:
-        config = CoarseConfig(delta=delta, budget_scale=None)
+        config = TesterConfig(eps=LEMMA_SCHEME_EPS)
+    sizes = phase_sizes(
+        scheme, delta, config.c1, config.c2, config.c3, None, MODE_PRACTICAL
+    )
 
     zipf = zipf_pmf(n)
     case1_shapes = {
@@ -281,7 +290,7 @@ def lemma_check(
                 raise InvariantViolated(
                     f"{name}/{sname}: oracle gate failed, bucket l1 = {bl1}"
                 )
-            args = (base_p, q, scheme, config, want, master_seed + 7919 * (i + 1))
+            args = (base_p, q, scheme, sizes, want, master_seed + 7919 * (i + 1))
             succ = sum(_map_trials(_comparator_batch, args, per_trials, jobs))
             total_succ += succ
             shape_stats[sname] = {
@@ -326,7 +335,7 @@ def lemma_check(
     if include_gap:
         gap_q = shifted_bucket_pair(zipf, scheme, delta / 4, donor, heavy_j)
         gap_trials = max(30, trials // 3)
-        args = (zipf, gap_q, scheme, config, CASE1, master_seed + 104729)
+        args = (zipf, gap_q, scheme, sizes, CASE1, master_seed + 104729)
         succ = sum(_map_trials(_comparator_batch, args, gap_trials, jobs))
         P = exact_bucket_masses(scheme, zipf)
         Q = exact_bucket_masses(scheme, zipf, weight_pmf=gap_q)
@@ -344,40 +353,31 @@ def lemma_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Sampling budget for the explicit-mass baseline tester.
-
-    The baseline computes every bucket mass of p with an O(n) scan, so
-    its cost is dominated by n. For the scaling foil the sampling sizes
-    are held at small constants, making the linear term visible; for
-    verdict cross-checks use sizes matching the efficient pipeline.
-    """
-
-    m1: int = 128
-    S: int = 128
-
-
 def baseline_identity_test(
     p: ProbabilityVector,
     source,
     eps: float,
     C: float,
-    bcfg: BaselineConfig,
+    m1: int = 128,
+    S: int = 128,
 ) -> dict:
     """Explicit-P_j tester: O(n) scan + threshold checks.
 
-    Returns decision plus exact work counters (the scan counts as n
-    p-queries; bucket lookups for samples reuse the scanned table).
+    Estimates q's bucket masses from m1 samples and runs the collision
+    test on S more. Its cost is dominated by the n p-queries of the scan,
+    so the scaling foil holds m1 and S at small constants, making the
+    linear term visible; verdict cross-checks pass sizes matching the
+    efficient pipeline. Returns decision plus exact work counters (bucket
+    lookups for samples reuse the scanned table).
     """
     from .coarse import estimate_q
     from .moment import collect_counts, moment_decide
 
     scheme = build_scheme(p.n, eps, C)
     masses = exact_bucket_masses(scheme, p)  # the O(n) step
-    q_hat = estimate_q(source, p, scheme, bcfg.m1)
+    q_hat = estimate_q(source, p, scheme, m1)
     l1_bucket = float(np.abs(masses - q_hat).sum())
-    q_used = bcfg.m1
+    q_used = m1
     p_queries = p.n
     if l1_bucket > eps / 4.0:
         return {
@@ -386,12 +386,12 @@ def baseline_identity_test(
             "q_samples_used": q_used,
             "p_queries_used": p_queries,
         }
-    stats = collect_counts(source, p, scheme, bcfg.S)
+    stats = collect_counts(source, p, scheme, S)
     report = moment_decide(stats, masses, scheme, eps)
     return {
         "decision": "accept" if report.accept else "reject",
         "stage": "none" if report.accept else "moment",
-        "q_samples_used": q_used + bcfg.S,
+        "q_samples_used": q_used + S,
         "p_queries_used": p_queries,
     }
 
@@ -409,7 +409,6 @@ def scaling_experiment(
     config: TesterConfig | None = None,
     trials_per_point: int = 3,
     master_seed: int = 0,
-    baseline: BaselineConfig | None = None,
 ) -> dict:
     """Measure samples + queries across a geometric n grid and fit slopes.
 
@@ -424,8 +423,6 @@ def scaling_experiment(
         raise BadParams("trials_per_point must be >= 1")
     if config is None:
         config = TesterConfig(eps=eps)
-    if baseline is None:
-        baseline = BaselineConfig()
     rows = []
     for n in n_grid:
         inst = make_instance("identical-uniform", n, seed=master_seed)
@@ -442,7 +439,7 @@ def scaling_experiment(
             totals.append(v.q_samples_used + v.p_queries_used)
         wall_ms = (time.perf_counter() - t0) * 1000.0 / trials_per_point
         bstream = proto.spawn(seed_sequence(master_seed, TAG_TRIAL, n, 999))
-        bres = baseline_identity_test(inst.p, bstream, eps, config.C, baseline)
+        bres = baseline_identity_test(inst.p, bstream, eps, config.C)
         b = closed_form_budget(n, config)
         rows.append(
             {
@@ -483,6 +480,14 @@ DEFAULT_TARGETS = {
 
 CALIBRATION_KNOBS = ("c1", "c2", "c3", "c4", "gamma")
 
+# Tester-run targets: (target, instance kind, instance seed, offset added to
+# the master seed, whether the tester should accept).
+_TRIAL_TARGETS = (
+    ("accept_identical", "identical-uniform", 1, 0, True),
+    ("reject_random_half", "random-half", 2, 1, False),
+    ("reject_eps_perturbed", "eps-perturbed", 3, 2, False),
+)
+
 
 def _point_cost(point: dict) -> float:
     return sum(float(point[k]) for k in CALIBRATION_KNOBS)
@@ -500,39 +505,20 @@ def evaluate_point(
     """Measure every target's Wilson lower bound at one knob setting."""
     config = TesterConfig(eps=eps, **{k: point[k] for k in CALIBRATION_KNOBS})
     rates = {}
-    if "accept_identical" in targets:
+    for target, kind, inst_seed, offset, want_accept in _TRIAL_TARGETS:
+        if target not in targets:
+            continue
+        params = {"eps": eps} if kind == "eps-perturbed" else {}
         rep = run_trials(
-            make_instance("identical-uniform", n, seed=1), config, trials,
-            master_seed, jobs=jobs,
+            make_instance(kind, n, seed=inst_seed, **params), config, trials,
+            master_seed + offset, jobs=jobs,
         )
-        rates["accept_identical"] = rep.wilson[0]
-    if "reject_random_half" in targets:
-        rep = run_trials(
-            make_instance("random-half", n, seed=2), config, trials,
-            master_seed + 1, jobs=jobs,
-        )
-        rates["reject_random_half"] = wilson_interval(
-            rep.trials - rep.accepts, rep.trials
-        )[0]
-    if "reject_eps_perturbed" in targets:
-        rep = run_trials(
-            make_instance("eps-perturbed", n, seed=3, eps=eps),
-            config,
-            trials,
-            master_seed + 2,
-            jobs=jobs,
-        )
-        rates["reject_eps_perturbed"] = wilson_interval(
-            rep.trials - rep.accepts, rep.trials
-        )[0]
+        hits = rep.accepts if want_accept else rep.trials - rep.accepts
+        rates[target] = wilson_interval(hits, rep.trials)[0]
     if "lemma_case1" in targets or "lemma_case2" in targets:
-        ccfg = CoarseConfig(
-            delta=0.1, c1=point["c1"], c2=point["c2"], c3=point["c3"],
-            budget_scale=None,
-        )
         lemma = lemma_check(
             n, 0.1, trials=trials, master_seed=master_seed + 3,
-            config=ccfg, include_gap=False, jobs=jobs,
+            config=config, include_gap=False, jobs=jobs,
         )
         rates["lemma_case1"] = lemma["case1"]["wilson_lo"]
         rates["lemma_case2"] = lemma["case2"]["wilson_lo"]

@@ -1,21 +1,26 @@
 """The composed sublinear identity tester.
 
-Pipeline: build the bucket scheme, run the coarse bucket-mass comparator
-with delta = eps / C_prime, reject immediately on Case 2, otherwise run
-the collision test using the comparator's q_hat estimates as the bucket
-masses. Work is O(sqrt(n) * polylog) in practical mode; nothing in the
-pipeline ever scans the domain, which the query audit enforces.
+Pipeline: build the bucket scheme, size the phases once (_plan), run the
+coarse bucket-mass comparator with delta = eps / C_prime, reject
+immediately on Case 2, otherwise run the collision test using the
+comparator's q_hat estimates as the bucket masses. Work is
+O(sqrt(n) * polylog) in practical mode; nothing in the pipeline ever scans
+the domain, which the query audit enforces. TesterConfig is the package's
+only configuration object: it holds every tunable constant and its default.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .bucketing import build_scheme
 from .coarse import (
     CASE2,
-    CoarseConfig,
+    MODE_FAITHFUL,
+    MODE_PRACTICAL,
     CoarseVerdict,
     coarse_compare,
     phase_sizes,
@@ -34,12 +39,15 @@ STAGE_NONE = "none"
 
 @dataclass(frozen=True)
 class TesterConfig:
-    """Full tester configuration.
+    """Full tester configuration, and the only one in the package.
 
-    delta for the coarse stage is eps / C_prime. Defaults are the
-    calibrated practical-mode constants; faithful mode (unit multipliers,
-    no caps) is available for small domains where the closed-form sizes
-    are affordable.
+    delta for the coarse stage is eps / C_prime. c1-c3 size the coarse
+    phases (see coarse.phase_sizes), c4 the collision sample, gamma is the
+    collision threshold slack and budget_scale the practical-mode cap per
+    phase (None: uncapped). Defaults are the calibrated practical-mode
+    constants (`idtest calibrate`). Faithful mode uses the closed-form
+    sizes verbatim with no cap; at these multipliers it is a formula
+    reference, affordable only for tiny domains.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -55,34 +63,40 @@ class TesterConfig:
     budget_scale: float | None = 150.0
     trials_for_amplification: int = 1
     master_seed: int = 0
-    mode: str = "practical"
+    mode: str = MODE_PRACTICAL
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "mode" or (f.name == "budget_scale" and v is None):
+                continue
+            if (
+                not isinstance(v, numbers.Real)
+                or isinstance(v, bool)
+                or not (isinstance(v, numbers.Integral) or math.isfinite(v))
+            ):
+                raise BadParams(f"{f.name} must be a finite number, got {v!r}")
         if not 0.0 < self.eps <= 2.0:
             raise BadParams("eps must be in (0, 2]")
         if self.C_prime < 4.0:
             raise BadParams("C_prime must be >= 4")
+        if min(self.c1, self.c2, self.c3, self.c4) <= 0:
+            raise BadParams("multipliers c1-c4 must be positive")
+        if self.gamma <= 0:
+            raise BadParams("gamma must be positive")
+        if self.budget_scale is not None and self.budget_scale <= 0:
+            raise BadParams("budget_scale must be positive or None")
+        if self.mode not in (MODE_FAITHFUL, MODE_PRACTICAL):
+            raise BadParams(f"unknown mode {self.mode!r}")
         t = self.trials_for_amplification
         if t < 1 or t % 2 == 0:
             raise BadParams("amplification trials must be odd and >= 1")
-        if self.gamma <= 0:
-            raise BadParams("gamma must be positive")
         if self.master_seed < 0:
             raise BadParams("master_seed must be non-negative")
 
     @property
     def delta(self) -> float:
         return self.eps / self.C_prime
-
-    def coarse_config(self) -> CoarseConfig:
-        return CoarseConfig(
-            delta=self.delta,
-            c1=self.c1,
-            c2=self.c2,
-            c3=self.c3,
-            mode=self.mode,
-            budget_scale=self.budget_scale,
-        )
 
 
 class QueryCounter:
@@ -163,7 +177,10 @@ class Verdict:
 def _plan(n: int, config: TesterConfig):
     """Bucket scheme, coarse phase sizes and collision sample size S."""
     scheme = build_scheme(n, config.eps, config.C)
-    sizes = phase_sizes(scheme, config.coarse_config())
+    sizes = phase_sizes(
+        scheme, config.delta, config.c1, config.c2, config.c3,
+        config.budget_scale, config.mode,
+    )
     return scheme, sizes, moment_sample_size(n, config.eps, config.c4)
 
 
@@ -200,7 +217,7 @@ def identity_test(
     draws_before = source.draws
     probe_rng = spawn_rng(config.master_seed, TAG_PROBE, trial_index)
 
-    cv = coarse_compare(source, counter, scheme, config.coarse_config(), probe_rng)
+    cv = coarse_compare(source, counter, scheme, sizes, probe_rng)
     size_info = {
         "m1": sizes.m1,
         "s1": sizes.s1,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idtest.bucketing import bucket_indices, build_scheme, exact_bucket_masses
+from idtest.bucketing import MAX_K, bucket_indices, build_scheme, exact_bucket_masses
 from idtest.distributions import (
     perturbed_pmf,
     point_mass_pmf,
@@ -68,6 +68,16 @@ class TestBuildScheme:
             build_scheme(10, 2.5, 100.0)
         with pytest.raises(BadParams):
             build_scheme(10, 0.5, 0.5)
+
+    @pytest.mark.parametrize("C", [float("inf"), 1e300, 1e12, 1e7])
+    def test_too_many_buckets_is_bad_params(self, C):
+        # raised before any array is allocated (C = 1e12 would take 60 TiB)
+        with pytest.raises(BadParams, match="buckets"):
+            build_scheme(16, 0.5, C)
+
+    def test_largest_scheme_in_use_builds(self):
+        s = build_scheme(10**7, 0.01, 200.0)
+        assert s.k == 428_339 <= MAX_K
 
 
 class TestBucketIndex:

@@ -206,6 +206,33 @@ class TestTest:
         assert out == ""
         assert "exactly one q source" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"c1": "64"}', '{"recommended": {"gamma": null}}', '{"C": 1e300}',
+         '{"budget_scale": "inf"}', '{"c1": [64]}', "[1, 2]", '{"c1": 64'],
+    )
+    def test_bad_calibration_file_exits_two(self, tmp_path, capsys, text):
+        pmf = make_uniform_pmf_file(tmp_path, 16)
+        cal = tmp_path / "cal.json"
+        cal.write_text(text)
+        code, out, err = run_cli(
+            capsys, "test", "--pmf", str(pmf), "--q", "self", "--eps", "0.5",
+            "--seed", "1", "--calibration", str(cal),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_calibration_file_sets_constants(self, tmp_path, capsys):
+        pmf = make_uniform_pmf_file(tmp_path, 16)
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"recommended": {"c1": 32.0, "gamma": 1.1}}')
+        code, out, _ = run_cli(
+            capsys, "test", "--pmf", str(pmf), "--q", "self", "--eps", "0.5",
+            "--seed", "1", "--calibration", str(cal), "--c1", "16",
+        )
+        config = json.loads(out)["config"]
+        assert (config["c1"], config["gamma"]) == (16.0, 1.1)
+
     def test_amplified_trials(self, tmp_path, capsys):
         pmf = make_uniform_pmf_file(tmp_path, 256)
         code, out, _ = run_cli(
@@ -332,12 +359,29 @@ TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
         ["bench", "--n-grid", "256", "--eps", "0.5", "--seed", "1",
          "--trials-per-point", "0"],
         ["lemma-check", "--n", "100", "--delta", "0.4", "--trials", "0", "--seed", "1"],
+        TEST_ARGS + ["--seed", "1", "--gamma", "nan"],
+        TEST_ARGS + ["--seed", "1", "--gamma", "inf"],
+        TEST_ARGS + ["--seed", "1", "--c1", "nan"],
+        TEST_ARGS + ["--seed", "1", "--c4", "nan"],
+        TEST_ARGS + ["--seed", "1", "--budget-scale", "nan"],
+        TEST_ARGS + ["--seed", "1", "--c3", "inf"],
+        TEST_ARGS + ["--seed", "1", "--c4", "inf"],
+        TEST_ARGS + ["--seed", "1", "--C", "inf"],
+        TEST_ARGS + ["--seed", "1", "--C", "1e300"],
+        TEST_ARGS + ["--seed", "1", "--C", "1e12"],
+        ["oracle", "buckets", "{pmf}", "--eps", "0.5", "--C", "inf"],
+        ["oracle", "buckets", "{pmf}", "--eps", "0.5", "--C", "1e12"],
+        ["bench", "--n-grid", "256,x", "--eps", "0.5", "--seed", "1"],
+        ["calibrate", "--n", "16", "--seed", "1", "--c1-grid", "64,y"],
     ]
     + [
         ["lemma-check", "--n", str(n), "--delta", "0.1", "--trials", "3", "--seed", "1"]
         for n in range(2, 10)
     ],
-    ids=["seed-negative", "trials-zero", "trials-per-point-zero", "lemma-trials-zero"]
+    ids=["seed-negative", "trials-zero", "trials-per-point-zero", "lemma-trials-zero",
+         "gamma-nan", "gamma-inf", "c1-nan", "c4-nan", "budget-scale-nan", "c3-inf",
+         "c4-inf", "C-inf", "C-1e300", "C-1e12", "oracle-C-inf", "oracle-C-1e12",
+         "n-grid-not-int", "grid-not-float"]
     + [f"lemma-check-n{n}" for n in range(2, 10)],
 )
 def test_bad_value_exits_two(tmp_path, capsys, argv):
@@ -386,33 +430,124 @@ pmf_files = st.one_of(
 sample_files = st.builds(samples_text, st.integers(0, 4000), st.integers(1, 70))
 
 
-@given(
-    p_bytes=pmf_files,
-    q=st.sampled_from(["self", "self", "pmf", "file"]),
-    q_bytes=pmf_files | sample_files | st.binary(max_size=40),
-    eps=st.sampled_from(["0.5", "1", "2", "0.5", "1", "2", "0", "2.5"]),
-    seed=st.sampled_from(["1", "0", str(2**64), "1", "0", "-1"]),
-    trials=st.sampled_from([None, "1", "3", None, "1", "3", "0", "2"]),
+# Config values drawn by the fuzz test: the default (flag absent) or a bad
+# value. Huge finite values appear only for --C, where build_scheme caps k;
+# elsewhere they (like faithful mode) would make the plan allocate gigabytes.
+BAD_NUMBERS = ["0", "-1", "nan", "inf"]
+config_flag = st.tuples(
+    st.just("--C"), st.sampled_from(BAD_NUMBERS + ["1e12", "1e300"])
+) | st.tuples(
+    st.sampled_from(["--C-prime", "--c1", "--c2", "--c3", "--c4", "--gamma",
+                     "--budget-scale"]),
+    st.sampled_from(BAD_NUMBERS),
 )
-@settings(max_examples=150, deadline=None)
-def test_exit_code_fuzz(tmp_path_factory, p_bytes, q, q_bytes, eps, seed, trials):
-    # every input ends in a verdict (0 accept, 1 reject) or in exit 2 with a message
+# half of the runs keep every default, so that verdicts stay common
+config_flags = st.sampled_from([0, 0, 1, 2]).flatmap(
+    lambda k: st.lists(config_flag, min_size=k, max_size=k)
+).map(lambda pairs: [a for pair in pairs for a in pair])
+seeds = st.sampled_from(["1", "0", str(2**64), "1", "0", "-1"])
+
+
+def fuzz_test_argv(draw, d):
+    argv = ["test", "--pmf", str(d / "p.pmf"),
+            "--eps", draw(st.sampled_from(["0.5", "1", "2", "0.5", "1", "2", "0", "2.5"])),
+            "--seed", draw(seeds)]
+    argv += {"self": ["--q", "self"], "pmf": ["--q-pmf", str(d / "q")],
+             "file": ["--q-file", str(d / "q")]}[draw(st.sampled_from(["self", "self", "pmf", "file"]))]
+    trials = draw(st.sampled_from([None, "1", "3", None, "1", "3", "0", "2"]))
+    if trials is not None:
+        argv += ["--trials", trials]
+    return argv + draw(config_flags)
+
+
+def fuzz_generate_argv(draw, d):
+    argv = ["generate", draw(st.sampled_from(["identical-uniform", "random-half",
+                                              "eps-perturbed", "zipf-pair"])),
+            "--n", draw(st.sampled_from(["16", "15", "2", "1", "0", "-3"])),
+            "--seed", draw(seeds), "--prefix", str(d / "g")]
+    for flag, values in (("--eps", ["0.3", "1.9", "0", "2", "-1", "nan", "inf"]),
+                         ("--a", ["1", "0", "-1", "nan", "inf"]),
+                         ("--samples", ["5", "0", "-1"])):
+        value = draw(st.sampled_from([None, None] + values))
+        if value is not None:
+            argv += [flag, value]
+    return argv + draw(st.sampled_from([[], ["--binary"]]))
+
+
+def fuzz_bench_argv(draw, d):
+    grid = draw(st.lists(st.sampled_from(["16", "64", "2", "1", "0", "-4", "x", " "]),
+                         min_size=1, max_size=2))
+    return ["bench", "--n-grid=" + ",".join(grid), "--eps",
+            draw(st.sampled_from(["0.5", "0", "nan"])), "--seed", draw(seeds),
+            "--trials-per-point", draw(st.sampled_from(["1", "0", "-1"])),
+            "--no-timing"] + draw(config_flags)
+
+
+def fuzz_lemma_argv(draw, d):
+    # valid deltas stay large: the comparator runs uncapped
+    return ["lemma-check",
+            "--n", draw(st.sampled_from(["100", "100", "9", "2", "1", "0", "-1", "20000"])),
+            "--delta", draw(st.sampled_from(["0.4", "0.6", "2", "0", "-1", "nan", "inf"])),
+            "--trials", draw(st.sampled_from(["3", "1", "0", "-1"])),
+            "--seed", draw(seeds)]
+
+
+def fuzz_oracle_argv(draw, d):
+    if draw(st.booleans()):
+        return ["oracle", "l1", str(d / "p.pmf"), str(d / "q")]
+    argv = ["oracle", "buckets", str(d / "p.pmf"),
+            "--eps", draw(st.sampled_from(["0.5", "2", "0", "2.5", "nan", "inf"]))]
+    c = draw(st.sampled_from([None, "100"] + BAD_NUMBERS + ["1e12", "1e300"]))
+    return argv + ([] if c is None else ["--C", c])
+
+
+def fuzz_calibrate_argv(draw, d):
+    # a valid search runs only at n = 16 with 30 trials, which is quick
+    argv = ["calibrate", "--n", draw(st.sampled_from(["16", "16", "1", "0", "-1"])),
+            "--eps", draw(st.sampled_from(["0.5", "0.5", "0", "nan"])),
+            "--trials", draw(st.sampled_from(["30", "30", "29", "0", "-1"])),
+            "--seed", draw(seeds)]
+    flag = draw(st.sampled_from([None, "--c1-grid", "--c2-grid", "--c3-grid",
+                                 "--c4-grid", "--gamma-grid"]))
+    if flag is not None:
+        value = draw(st.sampled_from(["3", "nan", "inf", "0", "-1", "x", "", ",", "3,y", "-1,3"]))
+        argv.append(f"{flag}={value}")
+    return argv
+
+
+FUZZ_ARGV = {
+    "test": fuzz_test_argv,
+    "generate": fuzz_generate_argv,
+    "bench": fuzz_bench_argv,
+    "lemma-check": fuzz_lemma_argv,
+    "oracle": fuzz_oracle_argv,
+    "calibrate": fuzz_calibrate_argv,
+}
+
+
+@given(
+    data=st.data(),
+    command=st.sampled_from(["test"] * 5 + sorted(FUZZ_ARGV)),
+    p_bytes=pmf_files,
+    q_bytes=pmf_files | sample_files | st.binary(max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_exit_code_fuzz(tmp_path_factory, data, command, p_bytes, q_bytes):
+    # every input ends in a verdict (0 accept, 1 reject), in a result (0) or
+    # in exit 2 with a message
     d = tmp_path_factory.mktemp("fuzz")
     (d / "p.pmf").write_bytes(p_bytes)
     (d / "q").write_bytes(q_bytes)
-    argv = ["test", "--pmf", str(d / "p.pmf"), "--eps", eps, "--seed", seed]
-    argv += {"self": ["--q", "self"], "pmf": ["--q-pmf", str(d / "q")],
-             "file": ["--q-file", str(d / "q")]}[q]
-    if trials is not None:
-        argv += ["--trials", trials]
+    argv = FUZZ_ARGV[command](data.draw, d)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error:")
-    else:
+    elif command == "test":
         assert json.loads(out.getvalue())["decision"] == ("accept", "reject")[code]
+    else:
+        assert code == 0 and out.getvalue()
 
 
 class TestOptimizedMode:

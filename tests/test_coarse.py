@@ -12,9 +12,10 @@ from idtest.bucketing import bucket_indices, build_scheme, exact_bucket_masses
 from idtest.coarse import (
     CASE1,
     CASE2,
+    MODE_FAITHFUL,
+    MODE_PRACTICAL,
     STEP_HEAVY,
     STEP_PROBE,
-    CoarseConfig,
     CoarseEstimates,
     coarse_compare,
     coarse_decide,
@@ -33,42 +34,53 @@ from idtest.distributions import (
 )
 from idtest.errors import BadParams, InvariantViolated, SampleExhausted
 from idtest.rng import TAG_PROBE, TAG_TRIAL, seed_sequence, spawn_rng
-from idtest.tester import QueryCounter
+from idtest.tester import QueryCounter, TesterConfig
+
+
+def practical(
+    scheme,
+    delta,
+    c1=TesterConfig.c1,
+    c2=TesterConfig.c2,
+    c3=TesterConfig.c3,
+    budget_scale=TesterConfig.budget_scale,
+):
+    """Practical-mode phase sizes, at TesterConfig's defaults unless given."""
+    return phase_sizes(scheme, delta, c1, c2, c3, budget_scale, MODE_PRACTICAL)
 
 
 class TestPhaseSizes:
     def test_faithful_formulas(self):
         s = build_scheme(16, 2.0, 1.0)  # k = 3
-        cfg = CoarseConfig.faithful(delta=1.0)
-        sz = phase_sizes(s, cfg)
+        sz = phase_sizes(s, 1.0, 1.0, 1.0, 1.0, None, MODE_FAITHFUL)
         lk = math.log(s.k + 2)
         assert sz.m1 == math.ceil((s.k / 1.0) ** 2 * lk)
         assert sz.s1 == math.ceil(math.sqrt(16) * math.log(17))
         assert sz.s2 == math.ceil((s.k / 1.0) ** 3 * math.sqrt(16) * lk)
         assert sz.capped == (False, False, False)
+        assert sz.delta == 1.0
 
     def test_practical_replaces_cubic_and_caps(self):
         s = build_scheme(400, 0.5, 100.0)  # large k
-        cfg = CoarseConfig(delta=0.0625, budget_scale=150.0)
-        sz = phase_sizes(s, cfg)
+        sz = practical(s, 0.0625)
         cap = math.ceil(150.0 * math.sqrt(400))
         assert sz.m1 == cap and sz.s2 == cap
         assert sz.capped[0] and sz.capped[2]
         assert not sz.capped[1]  # s1 formula is already sqrt-scale
-        uncapped = phase_sizes(s, CoarseConfig(delta=0.0625, budget_scale=None))
+        uncapped = practical(s, 0.0625, budget_scale=None)
         assert uncapped.s2 == math.ceil(
             8.0 * (s.k / 0.0625) ** 2 * math.sqrt(400) * math.log(s.k + 2)
         )
 
     def test_config_validation(self):
         with pytest.raises(BadParams):
-            CoarseConfig(delta=0.0)
+            TesterConfig(eps=0.0)
         with pytest.raises(BadParams):
-            CoarseConfig(delta=0.5, c1=0.0)
+            TesterConfig(eps=0.5, c1=0.0)
         with pytest.raises(BadParams):
-            CoarseConfig(delta=0.5, mode="bogus")
+            TesterConfig(eps=0.5, mode="bogus")
         with pytest.raises(BadParams):
-            CoarseConfig(delta=0.5, budget_scale=-1.0)
+            TesterConfig(eps=0.5, budget_scale=-1.0)
 
 
 class TestEstimateQ:
@@ -103,8 +115,7 @@ class TestEstimateQ:
         n, delta = 100, 0.2
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)  # k = 5
-        cfg = CoarseConfig.faithful(delta, c1=128.0)
-        m = phase_sizes(s, cfg).m1
+        m = phase_sizes(s, delta, 128.0, 1.0, 1.0, None, MODE_FAITHFUL).m1
         tol = delta / (8 * s.k + 8)
         truth = exact_bucket_masses(s, p)
         proto = AliasSampler(p, 0)
@@ -201,7 +212,7 @@ class TestCollectHeavySupport:
         n = 400
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        s1 = phase_sizes(s, CoarseConfig(delta=0.1)).s1
+        s1 = practical(s, 0.1).s1
         truth = exact_bucket_masses(s, p)
         heavy_truth = truth.copy()
         heavy_truth[: s.j_star] = 0.0
@@ -301,7 +312,7 @@ class TestCoarseDecide:
         v[s.j_star] = 0.6
         v[0] = 0.4
         est = synthetic_estimates(s, q_hat=v, heavy=v, probe=v)
-        out = coarse_decide(est, s, CoarseConfig(delta=0.8))
+        out = coarse_decide(est, s, 0.8)
         assert out.case == CASE1 and out.triggering_step is None
 
     def test_heavy_violation(self):
@@ -312,7 +323,7 @@ class TestCoarseDecide:
         heavy[s.j_star] = 0.48  # deviation 0.02 > 0.8/80 = 0.01
         out = coarse_decide(
             synthetic_estimates(s, q_hat=q_hat, heavy=heavy), s,
-            CoarseConfig(delta=0.8),
+            0.8,
         )
         assert out.case == CASE2
         assert out.triggering_step == STEP_HEAVY
@@ -326,7 +337,7 @@ class TestCoarseDecide:
         probe[1] = 0.5 - 0.019  # 0.019 < 0.8/40 = 0.02
         out = coarse_decide(
             synthetic_estimates(s, q_hat=q_hat, probe=probe), s,
-            CoarseConfig(delta=0.8),
+            0.8,
         )
         assert out.case == CASE1
 
@@ -338,7 +349,7 @@ class TestCoarseDecide:
         probe[0], probe[2] = 0.4, 0.4
         out = coarse_decide(
             synthetic_estimates(s, q_hat=q_hat, probe=probe), s,
-            CoarseConfig(delta=0.8),
+            0.8,
         )
         assert out.triggering_bucket == 0
         assert out.triggering_step == STEP_PROBE
@@ -352,16 +363,15 @@ class TestCoarseDecide:
         q_hat[s.j_star], heavy[s.j_star] = 0.5, 0.1  # heavy violation too
         out = coarse_decide(
             synthetic_estimates(s, q_hat=q_hat, heavy=heavy, probe=probe), s,
-            CoarseConfig(delta=0.8),
+            0.8,
         )
         assert out.triggering_step == STEP_HEAVY
 
     def test_deterministic_and_pure(self):
         s = self.scheme9()
         est = synthetic_estimates(s, q_hat=np.full(s.k + 1, 0.1))
-        cfg = CoarseConfig(delta=0.8)
-        a = coarse_decide(est, s, cfg)
-        b = coarse_decide(est, s, cfg)
+        a = coarse_decide(est, s, 0.8)
+        b = coarse_decide(est, s, 0.8)
         assert (a.case, a.triggering_step, a.triggering_bucket) == (
             b.case, b.triggering_step, b.triggering_bucket,
         )
@@ -372,11 +382,10 @@ class TestCoarseCompare:
         n = 200
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        cfg = CoarseConfig(delta=0.5, c1=2.0, c3=0.01, budget_scale=None)
-        sz = phase_sizes(s, cfg)
+        sz = practical(s, 0.5, c1=2.0, c3=0.01, budget_scale=None)
         counter = QueryCounter(p)
         stream = AliasSampler(p, seed=5)
-        coarse_compare(stream, counter, s, cfg, spawn_rng(5, TAG_PROBE))
+        coarse_compare(stream, counter, s, sz, spawn_rng(5, TAG_PROBE))
         assert stream.draws == sz.m1 + sz.s1
         assert counter.total == sz.m1 + sz.s1 + sz.s2
 
@@ -384,11 +393,11 @@ class TestCoarseCompare:
         n = 400
         p = uniform_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        cfg = CoarseConfig(delta=0.1, c1=1.0, c3=0.1, budget_scale=None)
+        sz = practical(s, 0.1, c1=1.0, c3=0.1, budget_scale=None)
         proto = AliasSampler(p, 0)
         for t in range(25):
             stream = proto.spawn(seed_sequence(31, TAG_TRIAL, t))
-            out = coarse_compare(stream, p, s, cfg, spawn_rng(31, TAG_PROBE, t))
+            out = coarse_compare(stream, p, s, sz, spawn_rng(31, TAG_PROBE, t))
             assert out.case == CASE1  # uniform estimates are exact
 
     def test_far_bucket_masses_case2(self):
@@ -397,28 +406,28 @@ class TestCoarseCompare:
         p = validate_pmf(np.concatenate([np.full(200, 1.5 / n), np.full(200, 0.5 / n)]))
         q = uniform_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        cfg = CoarseConfig(delta=0.1, c1=4.0, c3=1.0, budget_scale=None)
+        sz = practical(s, 0.1, c1=4.0, c3=1.0, budget_scale=None)
         proto = AliasSampler(q, 0)
         for t in range(25):
             stream = proto.spawn(seed_sequence(37, TAG_TRIAL, t))
-            out = coarse_compare(stream, p, s, cfg, spawn_rng(37, TAG_PROBE, t))
+            out = coarse_compare(stream, p, s, sz, spawn_rng(37, TAG_PROBE, t))
             assert out.case == CASE2
 
     def test_exhausted_source_no_verdict(self):
         n = 100
         p = uniform_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        cfg = CoarseConfig(delta=0.5)
+        sz = practical(s, 0.5)
         stream = FileSampleStream(np.zeros(10, dtype=np.int64), n=n)
         with pytest.raises(SampleExhausted):
-            coarse_compare(stream, p, s, cfg, spawn_rng(0, TAG_PROBE))
+            coarse_compare(stream, p, s, sz, spawn_rng(0, TAG_PROBE))
 
     def test_q_hat_sums_to_one_invariant(self):
         n = 150
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        cfg = CoarseConfig(delta=0.3, c1=1.0, c3=0.1, budget_scale=None)
+        sz = practical(s, 0.3, c1=1.0, c3=0.1, budget_scale=None)
         stream = AliasSampler(p, seed=9)
-        out = coarse_compare(stream, p, s, cfg, spawn_rng(9, TAG_PROBE))
+        out = coarse_compare(stream, p, s, sz, spawn_rng(9, TAG_PROBE))
         assert abs(out.estimates.q_hat.sum() - 1.0) <= 1e-9
         assert np.all(out.estimates.q_hat >= 0.0)

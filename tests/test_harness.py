@@ -8,7 +8,6 @@ from idtest.bucketing import build_scheme, exact_bucket_masses
 from idtest.distributions import zipf_pmf
 from idtest.errors import BadParams, CalibrationFailed, InvariantViolated
 from idtest.harness import (
-    BaselineConfig,
     baseline_identity_test,
     calibrate_constants,
     fit_loglog_slope,
@@ -156,26 +155,40 @@ class TestLemmaCheck:
         with pytest.raises(BadParams, match="trials"):
             lemma_check(100, 0.4, trials=0)
 
+    def test_reads_only_c1_to_c3_uncapped(self):
+        # a tiny cap and other c4 / gamma leave the comparator runs unchanged
+        other = TesterConfig(eps=0.5, c4=9.0, gamma=2.0, budget_scale=1.0)
+        base = lemma_check(100, 0.4, trials=6, include_gap=False)
+        assert lemma_check(100, 0.4, trials=6, include_gap=False, config=other) == base
+        fewer = TesterConfig(eps=0.5, c1=1.0, c2=0.5, c3=0.1)
+        assert lemma_check(100, 0.4, trials=6, include_gap=False, config=fewer) != base
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 2.5, float("nan")])
+    def test_delta_outside_range_is_bad_params(self, delta):
+        with pytest.raises(BadParams, match="delta"):
+            lemma_check(100, delta, trials=3)
+
 
 class TestBaseline:
     def test_verdict_agreement_on_reference_suite(self):
         # explicit-mass baseline and the sublinear pipeline agree on the
         # extreme instances when given matching collision sample sizes
         n = 400
-        bcfg = BaselineConfig(m1=2000, S=1439)
         for kind, want in [("identical-uniform", "accept"), ("random-half", "reject")]:
             inst = make_instance(kind, n, seed=2)
             agree = 0
             for t in range(25):
                 stream = AliasSampler(inst.q, seed_sequence(50 + t, TAG_TRIAL, 0))
-                res = baseline_identity_test(inst.p, stream, 0.5, 100.0, bcfg)
+                res = baseline_identity_test(
+                    inst.p, stream, 0.5, 100.0, m1=2000, S=1439
+                )
                 agree += res["decision"] == want
             assert agree >= 23
 
     def test_baseline_counts_linear_scan(self):
         inst = make_instance("identical-uniform", 512, seed=0)
         stream = AliasSampler(inst.q, seed_sequence(1, TAG_TRIAL, 0))
-        res = baseline_identity_test(inst.p, stream, 0.5, 100.0, BaselineConfig())
+        res = baseline_identity_test(inst.p, stream, 0.5, 100.0)
         assert res["p_queries_used"] == 512
 
 

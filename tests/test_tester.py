@@ -58,6 +58,25 @@ class TestConfig:
         with pytest.raises(BadParams):
             TesterConfig(eps=0.5, gamma=0.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (field, value)
+            for field in ("eps", "C", "C_prime", "c1", "c2", "c3", "c4", "gamma",
+                          "budget_scale", "trials_for_amplification", "master_seed")
+            for value in (float("nan"), float("inf"), "64", None)
+            if (field, value) != ("budget_scale", None)  # None: uncapped
+        ],
+    )
+    def test_non_finite_or_non_numeric_is_bad_params(self, field, value):
+        with pytest.raises(BadParams, match=field):
+            TesterConfig(**{"eps": 0.5, field: value})
+
+    def test_multipliers_must_be_positive(self):
+        for field in ("c1", "c2", "c3", "c4"):
+            with pytest.raises(BadParams):
+                TesterConfig(eps=0.5, **{field: 0.0})
+
     def test_negative_master_seed_is_bad_params(self):
         with pytest.raises(BadParams, match="master_seed"):
             TesterConfig(eps=0.5, master_seed=-1)
