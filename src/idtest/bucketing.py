@@ -73,6 +73,12 @@ class BucketScheme:
 # eps = 0.01, C = 200, has k = 428,339.
 MAX_K = 10**6
 
+# Largest closed-form work budget m1 + s1 + s2 + S that tester._plan accepts.
+# A run holds its samples and queried indices, about 40 bytes per unit of
+# budget at peak, so this bounds a run near 400 MB. The largest plan in use,
+# n = 2^20 at eps = 0.5 and the default constants, is 534,331.
+MAX_BUDGET = 10**7
+
 
 def build_scheme(n: int, eps: float, C: float) -> BucketScheme:
     """Build the bucket scheme; k is O((C/eps) * log(n/eps)).

@@ -50,8 +50,13 @@ def validate_pmf(probs) -> ProbabilityVector:
 
     Raises NegativeEntry for the first negative entry (exact sign check,
     no tolerance) and SumOutOfTolerance when the total is not 1 +/- 1e-9.
+    The pmf keeps a private read-only copy of the values.
     """
-    arr = np.asarray(probs, dtype=np.float64)
+    return _checked_pmf(np.array(probs, dtype=np.float64))
+
+
+def _checked_pmf(arr: np.ndarray) -> ProbabilityVector:
+    """validate_pmf without the copy, for a float64 array no code can write."""
     if arr.ndim != 1 or arr.size == 0:
         raise BadParams("pmf must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(arr)):
@@ -63,7 +68,6 @@ def validate_pmf(probs) -> ProbabilityVector:
     total = float(arr.sum())
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise SumOutOfTolerance(total, PMF_SUM_TOL)
-    arr = arr.copy()
     arr.flags.writeable = False
     return ProbabilityVector(arr)
 
@@ -102,23 +106,42 @@ class SampleStream(ABC):
         """Draw m independent samples (0-indexed)."""
 
 
-def _build_alias_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose alias construction, O(n).
+# One alias-table row: a draw of index i reads accept[i] and alias[i] from
+# the same 16 bytes, so it costs one gather and one cache line, not two.
+_ALIAS_ROW = np.dtype([("accept", "<f8"), ("alias", "<i8")])
 
-    Classification into small (scaled < 1) and large entries is vectorized.
-    The Python pairing loop runs only when both kinds exist, on plain lists
-    and floats, and its results are written back with one fancy assignment
-    per table. An entry left over when either side runs dry is 1.0 up to
-    rounding and keeps the initial accept 1.0 and alias to itself.
+# Rows written and classified per block by _build_alias_tables: a block of
+# 2^15 rows (512 KB) and its temporaries stay in cache.
+_FILL_BLOCK = 2**15
+
+
+def _build_alias_tables(probs: np.ndarray) -> np.ndarray:
+    """Vose alias construction, O(n), as one array of _ALIAS_ROW rows.
+
+    Row i is (accept[i], alias[i]): a draw of i keeps i when its
+    acceptance coin falls below accept[i] and returns alias[i] otherwise.
+    One pass over blocks of _FILL_BLOCK rows writes the initial rows
+    (accept 1.0, alias to itself) and counts the small entries (scaled =
+    probs * n < 1), so a pmf whose entries all fall on one side, such as
+    the uniform one, builds with no O(n) temporary. Only when both kinds
+    exist is scaled built in full: the Python pairing loop then runs on
+    plain lists and floats, and its results are written back with one
+    fancy assignment per column. An entry left over when either side runs
+    dry is 1.0 up to rounding and keeps its initial row.
     """
     n = probs.shape[0]
-    scaled = probs * n
-    accept = np.ones(n, dtype=np.float64)
-    alias = np.arange(n, dtype=np.int64)
-    is_small = scaled < 1.0
-    n_small = int(np.count_nonzero(is_small))
+    table = np.empty(n, dtype=_ALIAS_ROW)
+    accept, alias = table["accept"], table["alias"]
+    n_small = 0
+    for lo in range(0, n, _FILL_BLOCK):
+        hi = min(lo + _FILL_BLOCK, n)
+        accept[lo:hi] = 1.0
+        alias[lo:hi] = np.arange(lo, hi)
+        n_small += int(np.count_nonzero(probs[lo:hi] * n < 1.0))
     if n_small == 0 or n_small == n:
-        return accept, alias
+        return table
+    scaled = probs * n
+    is_small = scaled < 1.0
     small = np.flatnonzero(is_small).tolist()
     large = np.flatnonzero(~is_small).tolist()
     sc = scaled.tolist()
@@ -138,18 +161,19 @@ def _build_alias_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     idx = np.asarray(paired, dtype=np.int64)
     accept[idx] = np.asarray(sc)[idx]
     alias[idx] = paired_alias
-    return accept, alias
+    return table
 
 
 class AliasSampler(SampleStream):
     """O(1)-per-draw sampler for a known pmf (synthetic q source).
 
     Table construction is O(n); that is harness setup, not tester work.
-    It classifies entries with numpy and runs the Python pairing loop only
-    when both small and large entries exist, so a uniform pmf, whose
-    entries all fall on one side, builds without per-element Python work.
-    Index and acceptance randomness come from two independent sub-streams
-    of the seed so that draw sequences are invariant under batching.
+    The table is one array of _ALIAS_ROW rows (see _build_alias_tables), so
+    a batch of draws makes a single gather of 16-byte rows, where separate
+    accept and alias arrays would take two gathers and, at large n, two
+    cache and TLB misses per draw. Index and acceptance randomness come
+    from two independent sub-streams of the seed so that draw sequences
+    are invariant under batching.
     """
 
     def __init__(self, pmf: ProbabilityVector, seed, _tables=None):
@@ -159,23 +183,28 @@ class AliasSampler(SampleStream):
         self._pmf = pmf
         if _tables is None:
             _tables = _build_alias_tables(pmf.probs)
-        self._accept, self._alias = _tables
+        self._table = _tables
         ss = seed if isinstance(seed, np.random.SeedSequence) else seed_sequence(seed)
         idx_ss, acc_ss = ss.spawn(2)
         self._idx_rng = np.random.default_rng(idx_ss)
         self._acc_rng = np.random.default_rng(acc_ss)
 
     def spawn(self, seed) -> "AliasSampler":
-        """Fresh stream over the same pmf, sharing the O(n) tables."""
-        return AliasSampler(self._pmf, seed, _tables=(self._accept, self._alias))
+        """Fresh stream over the same pmf, sharing the O(n) table."""
+        return AliasSampler(self._pmf, seed, _tables=self._table)
 
     def draw_many(self, m: int) -> np.ndarray:
         if m < 0:
             raise BadParams("draw count must be non-negative")
+        # in place where the values allow: each m-sized temporary saved is
+        # memory a large batch need not fault in
         u = self._idx_rng.random(m)
-        idx = np.minimum((u * self.n).astype(np.int64), self.n - 1)
-        v = self._acc_rng.random(m)
-        out = np.where(v < self._accept[idx], idx, self._alias[idx])
+        u *= self.n
+        idx = u.astype(np.int64)
+        np.minimum(idx, self.n - 1, out=idx)
+        v = self._acc_rng.random(out=u)  # u is spent; reuse its buffer
+        rows = self._table[idx]
+        out = np.where(v < rows["accept"], idx, rows["alias"])
         self._draws += m
         return out
 

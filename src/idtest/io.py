@@ -15,7 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import FileSampleStream, ProbabilityVector, validate_pmf
+from .distributions import (
+    FileSampleStream,
+    ProbabilityVector,
+    _checked_pmf,
+    validate_pmf,
+)
 from .errors import BadParams
 
 PMF_MAGIC = b"PMF1F64\x00"
@@ -43,25 +48,27 @@ def _decode(path, raw: bytes) -> str:
 
 def read_pmf(path) -> ProbabilityVector:
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[: len(PMF_MAGIC)] == PMF_MAGIC:
-        # slices of a memoryview share the file's buffer instead of copying it
-        body = memoryview(raw)[len(PMF_MAGIC) :]
-        if len(body) < 8:
+    # numpy owns the file's buffer, so a binary pmf is a read-only view of it:
+    # its values are not copied again, and lookups read numpy-allocated memory
+    raw = np.fromfile(path, dtype=np.uint8)
+    raw.flags.writeable = False
+    if raw[: len(PMF_MAGIC)].tobytes() == PMF_MAGIC:
+        body = raw[len(PMF_MAGIC) :]
+        if body.size < 8:
             raise BadParams(f"binary pmf {path}: header truncated before n")
-        if (len(body) - 8) % 8:
+        if (body.size - 8) % 8:
             raise BadParams(
-                f"binary pmf {path}: {len(body) - 8} value bytes is not a multiple of 8"
+                f"binary pmf {path}: {body.size - 8} value bytes is not a multiple of 8"
             )
-        n = int(np.frombuffer(body[:8], dtype="<u8")[0])
-        vals = np.frombuffer(body[8:], dtype="<f8")
+        n = int(body[:8].view("<u8")[0])
+        vals = body[8:].view("<f8")
         if vals.size != n:
             raise BadParams(
                 f"binary pmf {path}: header says n={n} but {vals.size} values follow"
             )
-        return validate_pmf(vals)
+        return _checked_pmf(vals)
     values = []
-    for lineno, line in enumerate(_decode(path, raw).splitlines(), start=1):
+    for lineno, line in enumerate(_decode(path, raw.tobytes()).splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

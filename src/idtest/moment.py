@@ -47,6 +47,10 @@ def collect_counts(
     if S < 2:
         raise BadParams("S must be >= 2")
     draws = source.draw_many(S)
+    # indices below n <= 2^31 fit int32, which halves the sort's bytes (the
+    # rule QueryCounter.distinct_count uses); larger domains keep int64
+    if source.n <= 2**31:
+        draws = draws.astype(np.int32)
     distinct, occ = np.unique(draws, return_counts=True)
     if distinct.size > S:  # sparsity: memory tracks S, not n
         raise InvariantViolated(f"{distinct.size} distinct indices from {S} samples")

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .bucketing import build_scheme
+from .bucketing import MAX_BUDGET, build_scheme
 from .coarse import (
     CASE2,
     MODE_FAITHFUL,
@@ -175,13 +175,28 @@ class Verdict:
 
 
 def _plan(n: int, config: TesterConfig):
-    """Bucket scheme, coarse phase sizes and collision sample size S."""
+    """Bucket scheme, coarse phase sizes and collision sample size S.
+
+    Raises BadParams before any sampling when the budget m1 + s1 + s2 + S
+    exceeds MAX_BUDGET or a size overflows a float, as huge multipliers,
+    faithful mode or an uncapped budget at large k make it do.
+    """
     scheme = build_scheme(n, config.eps, config.C)
-    sizes = phase_sizes(
-        scheme, config.delta, config.c1, config.c2, config.c3,
-        config.budget_scale, config.mode,
-    )
-    return scheme, sizes, moment_sample_size(n, config.eps, config.c4)
+    try:
+        sizes = phase_sizes(
+            scheme, config.delta, config.c1, config.c2, config.c3,
+            config.budget_scale, config.mode,
+        )
+        S = moment_sample_size(n, config.eps, config.c4)
+        total = float(sizes.m1 + sizes.s1 + sizes.s2 + S)
+    except OverflowError:  # a size or their sum beyond the float range
+        total = math.inf
+    if total > MAX_BUDGET:
+        raise BadParams(
+            f"the plan needs m1 + s1 + s2 + S = {total:.3g} samples and "
+            f"queries, more than the {MAX_BUDGET:.0e} allowed"
+        )
+    return scheme, sizes, S
 
 
 def closed_form_budget(n: int, config: TesterConfig) -> dict:

@@ -209,7 +209,8 @@ class TestTest:
     @pytest.mark.parametrize(
         "text",
         ['{"c1": "64"}', '{"recommended": {"gamma": null}}', '{"C": 1e300}',
-         '{"budget_scale": "inf"}', '{"c1": [64]}', "[1, 2]", '{"c1": 64'],
+         '{"budget_scale": "inf"}', '{"c1": [64]}', "[1, 2]", '{"c1": 64',
+         '{"budget_scale": null}'],
     )
     def test_bad_calibration_file_exits_two(self, tmp_path, capsys, text):
         pmf = make_uniform_pmf_file(tmp_path, 16)
@@ -369,6 +370,11 @@ TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
         TEST_ARGS + ["--seed", "1", "--C", "inf"],
         TEST_ARGS + ["--seed", "1", "--C", "1e300"],
         TEST_ARGS + ["--seed", "1", "--C", "1e12"],
+        TEST_ARGS + ["--seed", "1", "--c4", "1e12"],
+        TEST_ARGS + ["--seed", "1", "--c1", "1e300"],
+        TEST_ARGS + ["--seed", "1", "--mode", "faithful"],
+        TEST_ARGS + ["--seed", "1", "--budget-scale", "1e12"],
+        ["bench", "--n-grid", "256", "--eps", "0.5", "--seed", "1", "--c4", "1e12"],
         ["oracle", "buckets", "{pmf}", "--eps", "0.5", "--C", "inf"],
         ["oracle", "buckets", "{pmf}", "--eps", "0.5", "--C", "1e12"],
         ["bench", "--n-grid", "256,x", "--eps", "0.5", "--seed", "1"],
@@ -380,7 +386,8 @@ TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
     ],
     ids=["seed-negative", "trials-zero", "trials-per-point-zero", "lemma-trials-zero",
          "gamma-nan", "gamma-inf", "c1-nan", "c4-nan", "budget-scale-nan", "c3-inf",
-         "c4-inf", "C-inf", "C-1e300", "C-1e12", "oracle-C-inf", "oracle-C-1e12",
+         "c4-inf", "C-inf", "C-1e300", "C-1e12", "c4-1e12", "c1-1e300", "faithful",
+         "budget-scale-1e12", "bench-c4-1e12", "oracle-C-inf", "oracle-C-1e12",
          "n-grid-not-int", "grid-not-float"]
     + [f"lemma-check-n{n}" for n in range(2, 10)],
 )
@@ -430,15 +437,16 @@ pmf_files = st.one_of(
 sample_files = st.builds(samples_text, st.integers(0, 4000), st.integers(1, 70))
 
 
-# Config values drawn by the fuzz test: the default (flag absent) or a bad
-# value. Huge finite values appear only for --C, where build_scheme caps k;
-# elsewhere they (like faithful mode) would make the plan allocate gigabytes.
+# Config values drawn by the fuzz test: the default (flag absent), a bad
+# value or a huge finite one. build_scheme caps k for a huge --C and _plan
+# caps the closed-form budget for huge multipliers or --budget-scale.
 BAD_NUMBERS = ["0", "-1", "nan", "inf"]
+HUGE_NUMBERS = ["1e12", "1e300"]
 config_flag = st.tuples(
-    st.just("--C"), st.sampled_from(BAD_NUMBERS + ["1e12", "1e300"])
+    st.sampled_from(["--C", "--c1", "--c2", "--c3", "--c4", "--budget-scale"]),
+    st.sampled_from(BAD_NUMBERS + HUGE_NUMBERS),
 ) | st.tuples(
-    st.sampled_from(["--C-prime", "--c1", "--c2", "--c3", "--c4", "--gamma",
-                     "--budget-scale"]),
+    st.sampled_from(["--C-prime", "--gamma"]),
     st.sampled_from(BAD_NUMBERS),
 )
 # half of the runs keep every default, so that verdicts stay common
@@ -497,7 +505,7 @@ def fuzz_oracle_argv(draw, d):
         return ["oracle", "l1", str(d / "p.pmf"), str(d / "q")]
     argv = ["oracle", "buckets", str(d / "p.pmf"),
             "--eps", draw(st.sampled_from(["0.5", "2", "0", "2.5", "nan", "inf"]))]
-    c = draw(st.sampled_from([None, "100"] + BAD_NUMBERS + ["1e12", "1e300"]))
+    c = draw(st.sampled_from([None, "100"] + BAD_NUMBERS + HUGE_NUMBERS))
     return argv + ([] if c is None else ["--C", c])
 
 

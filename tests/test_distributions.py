@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from idtest.distributions import (
     AliasSampler,
+    _FILL_BLOCK,
     _build_alias_tables,
     FileSampleStream,
     generate_instance,
@@ -62,9 +63,12 @@ class TestValidatePmf:
         assert abs(p.probs.sum() - 1.0) <= 1e-9
 
     def test_immutable(self):
-        p = validate_pmf([0.25, 0.75])
+        src = np.array([0.25, 0.75])
+        p = validate_pmf(src)
         with pytest.raises(ValueError):
             p.probs[0] = 1.0
+        src[0] = 1.0  # the pmf holds a private copy, not the caller's array
+        assert p.probs[0] == 0.25
 
 
 class TestL1Distance:
@@ -128,6 +132,15 @@ def reference_alias_tables(probs):
         accept[i] = 1.0
         alias[i] = i
     return accept, alias
+
+
+def assert_table_matches_reference(probs):
+    table = _build_alias_tables(probs)
+    want_accept, want_alias = reference_alias_tables(probs.copy())
+    assert table.dtype.names == ("accept", "alias")
+    for got, want in ((table["accept"], want_accept), (table["alias"], want_alias)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # n in [2, 5000] where (1/n) * n rounds below 1, so every entry is "small"
@@ -209,12 +222,19 @@ class TestAliasSampler:
     @given(alias_pmfs)
     @settings(max_examples=300, deadline=None)
     def test_tables_match_reference_bit_for_bit(self, p):
-        accept, alias = _build_alias_tables(p.probs)
-        want_accept, want_alias = reference_alias_tables(p.probs.copy())
-        assert accept.dtype == want_accept.dtype
-        assert alias.dtype == want_alias.dtype
-        assert accept.tobytes() == want_accept.tobytes()
-        assert alias.tobytes() == want_alias.tobytes()
+        assert_table_matches_reference(p.probs)
+
+    @pytest.mark.parametrize(
+        "n", [_FILL_BLOCK - 1, _FILL_BLOCK, _FILL_BLOCK + 1, 2 * _FILL_BLOCK + 3]
+    )
+    @pytest.mark.parametrize(
+        "make_pmf",
+        [uniform_pmf, zipf_pmf, lambda n: perturbed_pmf(n, 0.5, 3)],
+        ids=["uniform", "zipf", "perturbed"],
+    )
+    def test_tables_match_reference_across_fill_blocks(self, make_pmf, n):
+        # the blocked fill and count must not drop or repeat a row at an edge
+        assert_table_matches_reference(make_pmf(n).probs)
 
     @pytest.mark.parametrize(
         "make_pmf,digest",
@@ -241,6 +261,7 @@ class TestAliasSampler:
         child = s.spawn(seed=1)
         assert child.draws == 0
         assert child.n == 30
+        assert child._table is s._table
 
 
 class TestFileSampleStream:

@@ -41,6 +41,7 @@ class TestPmfBinary:
         write_pmf(path, p, binary=True)
         back = read_pmf(path)  # magic auto-detected
         assert np.array_equal(p.probs, back.probs)
+        assert not back.probs.flags.writeable
 
     def test_truncated_detected(self, tmp_path):
         p = uniform_pmf(8)

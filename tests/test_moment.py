@@ -41,6 +41,22 @@ class TestCollectCounts:
         assert stats.per_bucket_stat[j] == pytest.approx(1.0)
         assert stats.per_bucket_stat.sum() == pytest.approx(1.0)
 
+    def test_indices_beyond_int32_stay_distinct(self):
+        # n > 2^31 keeps int64 keys: narrowing would fold 2^32 + 5 onto 5,
+        # leaving one distinct index with C(3, 2) = 3 collisions
+        n = 2**33
+
+        class HugeStub:
+            def lookup(self, indices):
+                return np.full(np.shape(indices), 1.0 / n)
+
+        counter = QueryCounter(HugeStub())
+        s = build_scheme(n, 2.0, 1.0)
+        stream = FileSampleStream(np.array([5, 2**32 + 5, 5]), n=n)
+        stats = collect_counts(stream, counter, s, 3)
+        assert counter.total == 2
+        assert stats.per_bucket_stat.sum() == 1.0
+
     def test_all_distinct_no_collisions(self):
         n = 50
         p = uniform_pmf(n)

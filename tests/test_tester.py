@@ -1,6 +1,8 @@
 """Tests for the composed identity tester, amplification, and query audit."""
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from idtest.bucketing import MAX_BUDGET
 from idtest.distributions import (
     AliasSampler,
+    perturbed_pmf,
     uniform_pmf,
     validate_pmf,
     zipf_pmf,
@@ -201,6 +205,33 @@ class TestIdentityTest:
         got = (v.q_samples_used, v.p_queries_used, v.distinct_p_queried)
         assert got == self.GOLDEN[kind, seed]
 
+    # SHA-256 of the verdict JSON (sort_keys) plus its query audit per seed:
+    # seeded runs, decisions and diagnostics included, stay byte-identical
+    GOLDEN_JSON = {
+        ("uniform", 1): "d7f66c350b2e25df97a0066cbf2144a115b6797959a5c305825ee8b3b4d018e9",
+        ("uniform", 2): "7194c94e8f57a463180b6ddfc67894961c33cfd9211c8510fe568f177cf1311d",
+        ("uniform", 3): "02093130738e6301a646332ebceece72c251f381337255f0c48ed9319b69eda4",
+        ("zipf", 1): "655e19fa7d6eed078e56f07779d74f0aa2e23ced25ce43aa73d2be4f4657ac00",
+        ("zipf", 2): "82ee803e9783a92a73fb328848d1bcfcb36d62ac5f3c17e6e781f1140b7c1226",
+        ("zipf", 3): "90967c5bd15dbc789d7870a1cdd7b1d8c58047b7c6d7aa32da073c5731f729f8",
+        ("perturbed", 1): "815bc0cf2613a631a1491c54a97ab1f19e09bfaf056d586117d98fca9f3d6577",
+        ("perturbed", 2): "33524e90faf050fe5bcc064b7bb2dbf06823417c70eb8bfbb3ed13b1e30a152c",
+        ("perturbed", 3): "c2b045cb262d664c4909890ebf512df6e3235b6b283c6646276ebb6e88dc0403",
+    }
+
+    @pytest.mark.parametrize("kind, seed", sorted(GOLDEN_JSON))
+    def test_verdict_json_golden(self, kind, seed):
+        n = 4096
+        p = zipf_pmf(n) if kind == "zipf" else uniform_pmf(n)
+        q = perturbed_pmf(n, 0.5, seed) if kind == "perturbed" else p
+        v, cfg = self.run_once(p, q, seed=seed)
+        payload = {
+            "verdict": v.to_dict(),
+            "audit": dataclasses.asdict(query_audit(v, n, cfg)),
+        }
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_JSON[kind, seed]
+
 
 class TestQueryCounter:
     @given(st.lists(st.lists(st.integers(0, 49), max_size=30), max_size=8))
@@ -298,6 +329,27 @@ class TestQueryAudit:
             for n in (2**10, 2**12, 2**14, 2**16, 2**18)
         ]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"c4": 1e12}, {"c1": 1e300}, {"mode": "faithful"}, {"budget_scale": None}],
+        ids=["c4-1e12", "c1-1e300", "faithful", "uncapped"],
+    )
+    def test_budget_over_cap_is_bad_params(self, overrides):
+        # refused before any sample is drawn, not by a memory error
+        p = uniform_pmf(16)
+        cfg = TesterConfig(eps=0.5, **overrides)
+        stream = AliasSampler(p, 1)
+        with pytest.raises(BadParams, match=r"m1 \+ s1 \+ s2 \+ S"):
+            identity_test(p, stream, cfg)
+        assert stream.draws == 0
+        with pytest.raises(BadParams):
+            closed_form_budget(16, cfg)
+
+    def test_largest_plan_in_use_fits_the_cap(self):
+        # one n = 2^20 run at eps = 0.5 and the defaults, as in single-1m
+        total = closed_form_budget(2**20, TesterConfig(eps=0.5))["total"]
+        assert total == 534_331 <= MAX_BUDGET
 
     def test_violation_raises(self):
         p = uniform_pmf(128)
