@@ -33,9 +33,7 @@ from .tester import (
     query_audit,
 )
 
-CONFIG_FLAGS = (
-    "C", "C_prime", "c1", "c2", "c3", "c4", "gamma", "budget_scale", "mode",
-)
+CONFIG_FLAGS = ("C", "c1", "c2", "c3", "c4")
 
 
 def _emit(obj, out_path=None) -> None:
@@ -70,9 +68,13 @@ def _tester_config(args, seed: int) -> TesterConfig:
         src = loaded.get("recommended", loaded) if isinstance(loaded, dict) else None
         if not isinstance(src, dict):
             raise BadParams("--calibration needs a JSON object")
-        for key in CONFIG_FLAGS:
-            if key in src:
-                kw[key] = src[key]
+        unknown = sorted(set(src) - set(CONFIG_FLAGS))
+        if unknown:
+            raise BadParams(
+                f"--calibration: unknown key(s) {', '.join(unknown)}; "
+                f"the known keys are {', '.join(CONFIG_FLAGS)}"
+            )
+        kw.update(src)
     for key in CONFIG_FLAGS:
         val = getattr(args, key.lower(), None)
         if val is not None:
@@ -85,16 +87,10 @@ def _tester_config(args, seed: int) -> TesterConfig:
 def _add_config_flags(sp) -> None:
     sp.add_argument("--eps", type=float, required=True, help="distance parameter")
     sp.add_argument("--C", dest="c", type=float, help="bucket constant (default 100)")
-    sp.add_argument("--C-prime", dest="c_prime", type=float,
-                    help="delta divisor: coarse stage runs at delta = eps/C' (default 8)")
     sp.add_argument("--c1", type=float, help="q-estimate sample multiplier")
     sp.add_argument("--c2", type=float, help="heavy-capture sample multiplier")
     sp.add_argument("--c3", type=float, help="uniform-probe sample multiplier")
     sp.add_argument("--c4", type=float, help="collision sample multiplier")
-    sp.add_argument("--gamma", type=float, help="collision threshold slack")
-    sp.add_argument("--budget-scale", dest="budget_scale", type=float,
-                    help="practical-mode per-phase cap = ceil(scale * sqrt(n))")
-    sp.add_argument("--mode", choices=["practical", "faithful"])
     sp.add_argument("--calibration", help="JSON file with calibrated constants")
 
 
@@ -206,7 +202,7 @@ def cmd_oracle(args) -> int:
         _emit({"l1_distance": l1_distance(a, b), "n": a.n}, args.out)
         return 0
     p = read_pmf(args.pmf_a)
-    scheme = build_scheme(p.n, args.eps, args.c if args.c is not None else 100.0)
+    scheme = build_scheme(p.n, args.eps, args.c if args.c is not None else TesterConfig.C)
     masses = exact_bucket_masses(scheme, p)
     _emit(
         {
@@ -328,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c2-grid")
     sp.add_argument("--c3-grid")
     sp.add_argument("--c4-grid")
-    sp.add_argument("--gamma-grid")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_calibrate)
 

@@ -17,8 +17,8 @@ Heavy buckets are compared at tolerance delta/(8k+8), light buckets at
 delta/(4k+4); the first strict exceedance (heavy checks first, then
 light, each in increasing bucket order) yields Case 2.
 
-phase_sizes turns delta, the multipliers c1-c3, the cap and the mode into
-a PhaseSizes; coarse_compare runs the phases at those sizes. The module
+phase_sizes turns delta, the multipliers c1-c3 and the cap into a
+PhaseSizes; coarse_compare runs the phases at those sizes. The module
 holds no configuration of its own: the calibrated defaults and their
 checks live on tester.TesterConfig, and callers size a run once.
 """
@@ -32,9 +32,6 @@ import numpy as np
 from .bucketing import BucketScheme, bucket_indices
 from .errors import BadParams, InvariantViolated
 from .distributions import SampleStream
-
-MODE_FAITHFUL = "faithful"
-MODE_PRACTICAL = "practical"
 
 STEP_HEAVY = "heavy-check"
 STEP_PROBE = "probe-check"
@@ -60,32 +57,27 @@ def phase_sizes(
     c2: float,
     c3: float,
     budget_scale: float | None,
-    mode: str,
 ) -> PhaseSizes:
     """Evaluate the three phase sizes for a scheme (no sampling).
 
-    Faithful mode sizes the phases by the asymptotic formulas with the
-    multipliers as given (classically stated with unit constants):
-
         m1  = ceil(c1 * (k/delta)^2 * ln(k+2))
         s1  = ceil(c2 * sqrt(n) * ln(n+1))
-        s2  = ceil(c3 * (k/delta)^3 * sqrt(n) * ln(k+2))
+        s2  = ceil(c3 * (k/delta)^2 * sqrt(n) * ln(k+2))
 
-    Practical mode replaces (k/delta)^3 by (k/delta)^2 in s2 (an additive
-    Chernoff bound suffices for the light-bucket tolerance) and, unless
-    budget_scale is None, caps each phase at ceil(budget_scale * sqrt(n))
-    so desk-scale runs stay feasible at large k. Thresholds and decision
-    structure are identical in both modes. The arguments are not checked
-    here; TesterConfig (and lemma_check for its delta) validates them.
+    s2 is quadratic in k/delta, where the classical statement is cubic: an
+    additive Chernoff bound suffices for the light-bucket tolerance. Unless
+    budget_scale is None (uncapped), each phase is capped at
+    ceil(budget_scale * sqrt(n)) so desk-scale runs stay feasible at large
+    k. The arguments are not checked here; TesterConfig (and lemma_check
+    for its delta) validates them.
     """
     n, k = scheme.n, scheme.k
     lk = math.log(k + 2)
     m1 = math.ceil(c1 * (k / delta) ** 2 * lk)
     s1 = math.ceil(c2 * math.sqrt(n) * math.log(n + 1))
-    s2_exp = 3 if mode == MODE_FAITHFUL else 2
-    s2 = math.ceil(c3 * (k / delta) ** s2_exp * math.sqrt(n) * lk)
+    s2 = math.ceil(c3 * (k / delta) ** 2 * math.sqrt(n) * lk)
     capped = (False, False, False)
-    if mode == MODE_PRACTICAL and budget_scale is not None:
+    if budget_scale is not None:
         cap = math.ceil(budget_scale * math.sqrt(n))
         capped = (m1 > cap, s1 > cap, s2 > cap)
         m1, s1, s2 = min(m1, cap), min(s1, cap), min(s2, cap)

@@ -91,7 +91,6 @@ class SampleStream(ABC):
     """
 
     n: int
-    seed: object
 
     def __init__(self):
         self._draws = 0
@@ -179,7 +178,6 @@ class AliasSampler(SampleStream):
     def __init__(self, pmf: ProbabilityVector, seed, _tables=None):
         super().__init__()
         self.n = pmf.n
-        self.seed = seed
         self._pmf = pmf
         if _tables is None:
             _tables = _build_alias_tables(pmf.probs)
@@ -212,10 +210,9 @@ class AliasSampler(SampleStream):
 class FileSampleStream(SampleStream):
     """Replays a finite recorded sample sequence (0-indexed internally)."""
 
-    def __init__(self, samples: np.ndarray, n: int, seed=None):
+    def __init__(self, samples: np.ndarray, n: int):
         super().__init__()
         self.n = int(n)
-        self.seed = seed
         self._samples = np.asarray(samples, dtype=np.int64)
         bad = np.flatnonzero((self._samples < 0) | (self._samples >= self.n))
         if bad.size:

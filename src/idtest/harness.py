@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .bucketing import bucket_indices, build_scheme, exact_bucket_masses
-from .coarse import CASE1, CASE2, MODE_PRACTICAL, coarse_compare, phase_sizes
+from .coarse import CASE1, CASE2, coarse_compare
 from .distributions import (
     AliasSampler,
     ProbabilityVector,
@@ -37,6 +37,7 @@ from .tester import (
     TesterConfig,
     closed_form_budget,
     identity_test,
+    plan_sizes,
     query_audit,
 )
 
@@ -231,8 +232,9 @@ def lemma_check(
     """Verify the comparator's Case 1 / Case 2 separation statistically.
 
     The comparator runs at tolerance delta with the c1-c3 of config
-    (default: TesterConfig's), in practical mode and uncapped; the other
-    fields of config are not used.
+    (default: TesterConfig's), uncapped; the other fields of config are
+    not used. A plan above MAX_BUDGET is refused with BadParams, as in
+    the tester.
 
     Case 1 families are p = q over three pmf shapes. Case 2 families move
     delta/2 of q-mass between two buckets of a zipf base, one move into a
@@ -254,9 +256,7 @@ def lemma_check(
         )
     if config is None:
         config = TesterConfig(eps=LEMMA_SCHEME_EPS)
-    sizes = phase_sizes(
-        scheme, delta, config.c1, config.c2, config.c3, None, MODE_PRACTICAL
-    )
+    sizes, _ = plan_sizes(scheme, delta, config, None)
 
     zipf = zipf_pmf(n)
     case1_shapes = {
@@ -478,7 +478,7 @@ DEFAULT_TARGETS = {
     "lemma_case2": 0.85,
 }
 
-CALIBRATION_KNOBS = ("c1", "c2", "c3", "c4", "gamma")
+CALIBRATION_KNOBS = ("c1", "c2", "c3", "c4")
 
 # Tester-run targets: (target, instance kind, instance seed, offset added to
 # the master seed, whether the tester should accept).

@@ -103,4 +103,4 @@ def read_samples(path, n: int) -> FileSampleStream:
                 f"{path}: line {lineno}: index {idx} outside [1, {n}]"
             )
         values.append(idx - 1)
-    return FileSampleStream(np.asarray(values, dtype=np.int64), n=n, seed=None)
+    return FileSampleStream(np.asarray(values, dtype=np.int64), n=n)

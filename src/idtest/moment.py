@@ -97,7 +97,6 @@ def moment_decide(
     bucket_mass: np.ndarray,
     scheme: BucketScheme,
     eps: float,
-    slack: float = 1.0,
 ) -> MomentReport:
     """Pure decision: reject any tested bucket whose statistic strictly
     exceeds its threshold.
@@ -105,8 +104,7 @@ def moment_decide(
     bucket_mass is whatever mass vector stands in for the true per-bucket
     p-masses: the exact oracle values, or the q_hat estimates in the
     efficient pipeline. Bucket 0 and buckets with mass <= eps/(4k+4) are
-    skipped. `slack` multiplies the threshold right side (pipeline knob
-    for estimated masses; 1.0 leaves the classic threshold unchanged).
+    skipped. The threshold is (1 + eps/4) * C(S,2) * mass_j * upper_j.
     """
     k = scheme.k
     mass = np.asarray(bucket_mass, dtype=np.float64)
@@ -118,8 +116,7 @@ def moment_decide(
     tested = mass > guard
     tested[0] = False
     thresholds = (
-        slack
-        * (1.0 + eps / 4.0)
+        (1.0 + eps / 4.0)
         * sample_pairs(stats.total_samples)
         * mass
         * scheme.boundaries

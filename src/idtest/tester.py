@@ -1,12 +1,14 @@
 """The composed sublinear identity tester.
 
 Pipeline: build the bucket scheme, size the phases once (_plan), run the
-coarse bucket-mass comparator with delta = eps / C_prime, reject
+coarse bucket-mass comparator with delta = eps / C_PRIME, reject
 immediately on Case 2, otherwise run the collision test using the
 comparator's q_hat estimates as the bucket masses. Work is
-O(sqrt(n) * polylog) in practical mode; nothing in the pipeline ever scans
-the domain, which the query audit enforces. TesterConfig is the package's
-only configuration object: it holds every tunable constant and its default.
+O(sqrt(n) * polylog): every coarse phase is capped at PHASE_CAP * sqrt(n),
+and nothing in the pipeline ever scans the domain, which the query audit
+enforces. TesterConfig is the package's only configuration object: it
+holds every settable constant and its default; C_PRIME and PHASE_CAP are
+fixed.
 """
 from __future__ import annotations
 
@@ -16,15 +18,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .bucketing import MAX_BUDGET, build_scheme
-from .coarse import (
-    CASE2,
-    MODE_FAITHFUL,
-    MODE_PRACTICAL,
-    CoarseVerdict,
-    coarse_compare,
-    phase_sizes,
-)
+from .bucketing import MAX_BUDGET, BucketScheme, build_scheme
+from .coarse import CASE2, CoarseVerdict, PhaseSizes, coarse_compare, phase_sizes
 from .distributions import ProbabilityVector, SampleStream
 from .errors import BadParams, BudgetExceeded, DomainMismatch, InvariantViolated
 from .moment import collect_counts, moment_decide, moment_sample_size
@@ -36,40 +31,33 @@ STAGE_COARSE = "coarse"
 STAGE_MOMENT = "moment"
 STAGE_NONE = "none"
 
+C_PRIME = 8.0  # the coarse stage runs at delta = eps / C_PRIME
+PHASE_CAP = 150.0  # each coarse phase takes at most ceil(PHASE_CAP * sqrt(n))
+
 
 @dataclass(frozen=True)
 class TesterConfig:
     """Full tester configuration, and the only one in the package.
 
-    delta for the coarse stage is eps / C_prime. c1-c3 size the coarse
-    phases (see coarse.phase_sizes), c4 the collision sample, gamma is the
-    collision threshold slack and budget_scale the practical-mode cap per
-    phase (None: uncapped). Defaults are the calibrated practical-mode
-    constants (`idtest calibrate`). Faithful mode uses the closed-form
-    sizes verbatim with no cap; at these multipliers it is a formula
-    reference, affordable only for tiny domains.
+    C is the bucket scheme constant (eps' = eps / C). c1-c3 size the
+    coarse phases (see coarse.phase_sizes), c4 the collision sample.
+    Defaults are the calibrated constants (`idtest calibrate`).
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     eps: float
     C: float = 100.0
-    C_prime: float = 8.0
     c1: float = 64.0
     c2: float = 4.0
     c3: float = 8.0
     c4: float = 3.0
-    gamma: float = 1.0
-    budget_scale: float | None = 150.0
     trials_for_amplification: int = 1
     master_seed: int = 0
-    mode: str = MODE_PRACTICAL
 
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name == "mode" or (f.name == "budget_scale" and v is None):
-                continue
             if (
                 not isinstance(v, numbers.Real)
                 or isinstance(v, bool)
@@ -78,16 +66,8 @@ class TesterConfig:
                 raise BadParams(f"{f.name} must be a finite number, got {v!r}")
         if not 0.0 < self.eps <= 2.0:
             raise BadParams("eps must be in (0, 2]")
-        if self.C_prime < 4.0:
-            raise BadParams("C_prime must be >= 4")
         if min(self.c1, self.c2, self.c3, self.c4) <= 0:
             raise BadParams("multipliers c1-c4 must be positive")
-        if self.gamma <= 0:
-            raise BadParams("gamma must be positive")
-        if self.budget_scale is not None and self.budget_scale <= 0:
-            raise BadParams("budget_scale must be positive or None")
-        if self.mode not in (MODE_FAITHFUL, MODE_PRACTICAL):
-            raise BadParams(f"unknown mode {self.mode!r}")
         t = self.trials_for_amplification
         if t < 1 or t % 2 == 0:
             raise BadParams("amplification trials must be odd and >= 1")
@@ -96,7 +76,7 @@ class TesterConfig:
 
     @property
     def delta(self) -> float:
-        return self.eps / self.C_prime
+        return self.eps / C_PRIME
 
 
 class QueryCounter:
@@ -174,28 +154,42 @@ class Verdict:
         }
 
 
-def _plan(n: int, config: TesterConfig):
-    """Bucket scheme, coarse phase sizes and collision sample size S.
+def plan_sizes(
+    scheme: BucketScheme,
+    delta: float,
+    config: TesterConfig,
+    budget_scale: float | None,
+    eps: float | None = None,
+) -> tuple[PhaseSizes, int]:
+    """Coarse phase sizes at delta, and the collision sample size S.
 
-    Raises BadParams before any sampling when the budget m1 + s1 + s2 + S
-    exceeds MAX_BUDGET or a size overflows a float, as huge multipliers,
-    faithful mode or an uncapped budget at large k make it do.
+    S is sized for eps with config.c4, or is 0 when eps is None (the
+    comparator alone, as lemma_check runs it). Raises BadParams before any
+    sampling when m1 + s1 + s2 (+ S) exceeds MAX_BUDGET or a size overflows
+    a float, as huge multipliers, a tiny delta or an uncapped plan at large
+    k make it do.
     """
-    scheme = build_scheme(n, config.eps, config.C)
+    terms = "m1 + s1 + s2" if eps is None else "m1 + s1 + s2 + S"
     try:
         sizes = phase_sizes(
-            scheme, config.delta, config.c1, config.c2, config.c3,
-            config.budget_scale, config.mode,
+            scheme, delta, config.c1, config.c2, config.c3, budget_scale
         )
-        S = moment_sample_size(n, config.eps, config.c4)
+        S = 0 if eps is None else moment_sample_size(scheme.n, eps, config.c4)
         total = float(sizes.m1 + sizes.s1 + sizes.s2 + S)
     except OverflowError:  # a size or their sum beyond the float range
         total = math.inf
     if total > MAX_BUDGET:
         raise BadParams(
-            f"the plan needs m1 + s1 + s2 + S = {total:.3g} samples and "
+            f"the plan needs {terms} = {total:.3g} samples and "
             f"queries, more than the {MAX_BUDGET:.0e} allowed"
         )
+    return sizes, S
+
+
+def _plan(n: int, config: TesterConfig):
+    """Bucket scheme, capped coarse phase sizes and collision sample size S."""
+    scheme = build_scheme(n, config.eps, config.C)
+    sizes, S = plan_sizes(scheme, config.delta, config, PHASE_CAP, config.eps)
     return scheme, sizes, S
 
 
@@ -272,9 +266,7 @@ def identity_test(
         return _verdict(DECISION_REJECT, STAGE_COARSE, cv.triggering_bucket, None)
 
     stats = collect_counts(source, counter, scheme, S)
-    report = moment_decide(
-        stats, cv.estimates.q_hat, scheme, config.eps, slack=config.gamma
-    )
+    report = moment_decide(stats, cv.estimates.q_hat, scheme, config.eps)
     _check_draws(sizes.m1 + sizes.s1 + S)
     if report.accept:
         return _verdict(DECISION_ACCEPT, STAGE_NONE, None, report)

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idtest
-from idtest.cli import main
+from idtest.cli import CONFIG_FLAGS, main
 from idtest.io import PMF_MAGIC, read_pmf
+from idtest.tester import TesterConfig
 
 
 def run_cli(capsys, *argv):
@@ -208,9 +210,10 @@ class TestTest:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"c1": "64"}', '{"recommended": {"gamma": null}}', '{"C": 1e300}',
-         '{"budget_scale": "inf"}', '{"c1": [64]}', "[1, 2]", '{"c1": 64',
-         '{"budget_scale": null}'],
+        ['{"c1": "64"}', '{"recommended": {"c4": null}}', '{"C": 1e300}',
+         '{"c2": "inf"}', '{"c1": [64]}', "[1, 2]", '{"c1": 64',
+         '{"c3": null}', '{"recommended": {"gamma": 1.0}}', '{"mode": "practical"}',
+         '{"budget_scale": 150}', '{"c_1": 64}'],
     )
     def test_bad_calibration_file_exits_two(self, tmp_path, capsys, text):
         pmf = make_uniform_pmf_file(tmp_path, 16)
@@ -223,16 +226,27 @@ class TestTest:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    def test_unknown_calibration_key_is_named(self, tmp_path, capsys):
+        pmf = make_uniform_pmf_file(tmp_path, 16)
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"recommended": {"c1": 32.0, "gamma": 1.0}}')
+        code, out, err = run_cli(
+            capsys, "test", "--pmf", str(pmf), "--q", "self", "--eps", "0.5",
+            "--seed", "1", "--calibration", str(cal),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "gamma" in err
+
     def test_calibration_file_sets_constants(self, tmp_path, capsys):
         pmf = make_uniform_pmf_file(tmp_path, 16)
         cal = tmp_path / "cal.json"
-        cal.write_text('{"recommended": {"c1": 32.0, "gamma": 1.1}}')
+        cal.write_text('{"recommended": {"c1": 32.0, "c4": 3.5}}')
         code, out, _ = run_cli(
             capsys, "test", "--pmf", str(pmf), "--q", "self", "--eps", "0.5",
             "--seed", "1", "--calibration", str(cal), "--c1", "16",
         )
         config = json.loads(out)["config"]
-        assert (config["c1"], config["gamma"]) == (16.0, 1.1)
+        assert (config["c1"], config["c4"]) == (16.0, 3.5)
 
     def test_amplified_trials(self, tmp_path, capsys):
         pmf = make_uniform_pmf_file(tmp_path, 256)
@@ -360,11 +374,8 @@ TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
         ["bench", "--n-grid", "256", "--eps", "0.5", "--seed", "1",
          "--trials-per-point", "0"],
         ["lemma-check", "--n", "100", "--delta", "0.4", "--trials", "0", "--seed", "1"],
-        TEST_ARGS + ["--seed", "1", "--gamma", "nan"],
-        TEST_ARGS + ["--seed", "1", "--gamma", "inf"],
         TEST_ARGS + ["--seed", "1", "--c1", "nan"],
         TEST_ARGS + ["--seed", "1", "--c4", "nan"],
-        TEST_ARGS + ["--seed", "1", "--budget-scale", "nan"],
         TEST_ARGS + ["--seed", "1", "--c3", "inf"],
         TEST_ARGS + ["--seed", "1", "--c4", "inf"],
         TEST_ARGS + ["--seed", "1", "--C", "inf"],
@@ -372,23 +383,23 @@ TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
         TEST_ARGS + ["--seed", "1", "--C", "1e12"],
         TEST_ARGS + ["--seed", "1", "--c4", "1e12"],
         TEST_ARGS + ["--seed", "1", "--c1", "1e300"],
-        TEST_ARGS + ["--seed", "1", "--mode", "faithful"],
-        TEST_ARGS + ["--seed", "1", "--budget-scale", "1e12"],
         ["bench", "--n-grid", "256", "--eps", "0.5", "--seed", "1", "--c4", "1e12"],
         ["oracle", "buckets", "{pmf}", "--eps", "0.5", "--C", "inf"],
         ["oracle", "buckets", "{pmf}", "--eps", "0.5", "--C", "1e12"],
         ["bench", "--n-grid", "256,x", "--eps", "0.5", "--seed", "1"],
         ["calibrate", "--n", "16", "--seed", "1", "--c1-grid", "64,y"],
+        ["lemma-check", "--n", "10000", "--delta", "0.01", "--seed", "1"],
+        ["lemma-check", "--n", "400", "--delta", "1e-300", "--seed", "1"],
     ]
     + [
         ["lemma-check", "--n", str(n), "--delta", "0.1", "--trials", "3", "--seed", "1"]
         for n in range(2, 10)
     ],
     ids=["seed-negative", "trials-zero", "trials-per-point-zero", "lemma-trials-zero",
-         "gamma-nan", "gamma-inf", "c1-nan", "c4-nan", "budget-scale-nan", "c3-inf",
-         "c4-inf", "C-inf", "C-1e300", "C-1e12", "c4-1e12", "c1-1e300", "faithful",
-         "budget-scale-1e12", "bench-c4-1e12", "oracle-C-inf", "oracle-C-1e12",
-         "n-grid-not-int", "grid-not-float"]
+         "c1-nan", "c4-nan", "c3-inf", "c4-inf", "C-inf", "C-1e300", "C-1e12",
+         "c4-1e12", "c1-1e300", "bench-c4-1e12", "oracle-C-inf", "oracle-C-1e12",
+         "n-grid-not-int", "grid-not-float", "lemma-plan-over-cap",
+         "lemma-plan-overflow"]
     + [f"lemma-check-n{n}" for n in range(2, 10)],
 )
 def test_bad_value_exits_two(tmp_path, capsys, argv):
@@ -397,6 +408,31 @@ def test_bad_value_exits_two(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+REMOVED_FLAGS = (["--mode", "faithful"], ["--C-prime", "4"], ["--gamma", "1"],
+                 ["--budget-scale", "150"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*cmd, *flag] for cmd in (TEST_ARGS, ["bench", "--n-grid", "256", "--eps", "0.5"])
+     for flag in REMOVED_FLAGS]
+    + [["calibrate", "--n", "16", "--gamma-grid", "1,1.1"]],
+    ids=[f"{cmd}{flag[0]}" for cmd in ("test", "bench") for flag in REMOVED_FLAGS]
+    + ["calibrate--gamma-grid"],
+)
+def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
+    pmf = make_uniform_pmf_file(tmp_path, 16)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(pmf=pmf) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_flags_are_the_settable_constants():
+    names = {f.name for f in dataclasses.fields(TesterConfig)}
+    assert set(CONFIG_FLAGS) == names - {"eps", "master_seed", "trials_for_amplification"}
 
 
 def pmf_text(values):
@@ -438,16 +474,13 @@ sample_files = st.builds(samples_text, st.integers(0, 4000), st.integers(1, 70))
 
 
 # Config values drawn by the fuzz test: the default (flag absent), a bad
-# value or a huge finite one. build_scheme caps k for a huge --C and _plan
-# caps the closed-form budget for huge multipliers or --budget-scale.
+# value or a huge finite one. build_scheme caps k for a huge --C and the
+# plan check caps the closed-form budget for huge multipliers.
 BAD_NUMBERS = ["0", "-1", "nan", "inf"]
 HUGE_NUMBERS = ["1e12", "1e300"]
 config_flag = st.tuples(
-    st.sampled_from(["--C", "--c1", "--c2", "--c3", "--c4", "--budget-scale"]),
+    st.sampled_from(["--C", "--c1", "--c2", "--c3", "--c4"]),
     st.sampled_from(BAD_NUMBERS + HUGE_NUMBERS),
-) | st.tuples(
-    st.sampled_from(["--C-prime", "--gamma"]),
-    st.sampled_from(BAD_NUMBERS),
 )
 # half of the runs keep every default, so that verdicts stay common
 config_flags = st.sampled_from([0, 0, 1, 2]).flatmap(
@@ -492,10 +525,12 @@ def fuzz_bench_argv(draw, d):
 
 
 def fuzz_lemma_argv(draw, d):
-    # valid deltas stay large: the comparator runs uncapped
+    # valid deltas stay large, or tiny enough that the plan is refused: the
+    # comparator runs uncapped
     return ["lemma-check",
             "--n", draw(st.sampled_from(["100", "100", "9", "2", "1", "0", "-1", "20000"])),
-            "--delta", draw(st.sampled_from(["0.4", "0.6", "2", "0", "-1", "nan", "inf"])),
+            "--delta", draw(st.sampled_from(["0.4", "0.6", "2", "0", "-1", "nan", "inf",
+                                             "1e-300"])),
             "--trials", draw(st.sampled_from(["3", "1", "0", "-1"])),
             "--seed", draw(seeds)]
 
@@ -516,7 +551,7 @@ def fuzz_calibrate_argv(draw, d):
             "--trials", draw(st.sampled_from(["30", "30", "29", "0", "-1"])),
             "--seed", draw(seeds)]
     flag = draw(st.sampled_from([None, "--c1-grid", "--c2-grid", "--c3-grid",
-                                 "--c4-grid", "--gamma-grid"]))
+                                 "--c4-grid"]))
     if flag is not None:
         value = draw(st.sampled_from(["3", "nan", "inf", "0", "-1", "x", "", ",", "3,y", "-1,3"]))
         argv.append(f"{flag}={value}")

@@ -12,8 +12,6 @@ from idtest.bucketing import bucket_indices, build_scheme, exact_bucket_masses
 from idtest.coarse import (
     CASE1,
     CASE2,
-    MODE_FAITHFUL,
-    MODE_PRACTICAL,
     STEP_HEAVY,
     STEP_PROBE,
     CoarseEstimates,
@@ -34,40 +32,40 @@ from idtest.distributions import (
 )
 from idtest.errors import BadParams, InvariantViolated, SampleExhausted
 from idtest.rng import TAG_PROBE, TAG_TRIAL, seed_sequence, spawn_rng
-from idtest.tester import QueryCounter, TesterConfig
+from idtest.tester import PHASE_CAP, QueryCounter, TesterConfig
 
 
-def practical(
+def sizes_at(
     scheme,
     delta,
     c1=TesterConfig.c1,
     c2=TesterConfig.c2,
     c3=TesterConfig.c3,
-    budget_scale=TesterConfig.budget_scale,
+    budget_scale=PHASE_CAP,
 ):
-    """Practical-mode phase sizes, at TesterConfig's defaults unless given."""
-    return phase_sizes(scheme, delta, c1, c2, c3, budget_scale, MODE_PRACTICAL)
+    """Phase sizes, at TesterConfig's defaults and the tester's cap unless given."""
+    return phase_sizes(scheme, delta, c1, c2, c3, budget_scale)
 
 
 class TestPhaseSizes:
-    def test_faithful_formulas(self):
+    def test_uncapped_formulas(self):
         s = build_scheme(16, 2.0, 1.0)  # k = 3
-        sz = phase_sizes(s, 1.0, 1.0, 1.0, 1.0, None, MODE_FAITHFUL)
+        sz = phase_sizes(s, 1.0, 1.0, 1.0, 1.0, None)
         lk = math.log(s.k + 2)
         assert sz.m1 == math.ceil((s.k / 1.0) ** 2 * lk)
         assert sz.s1 == math.ceil(math.sqrt(16) * math.log(17))
-        assert sz.s2 == math.ceil((s.k / 1.0) ** 3 * math.sqrt(16) * lk)
+        assert sz.s2 == math.ceil((s.k / 1.0) ** 2 * math.sqrt(16) * lk)
         assert sz.capped == (False, False, False)
         assert sz.delta == 1.0
 
-    def test_practical_replaces_cubic_and_caps(self):
+    def test_quadratic_s2_and_cap(self):
         s = build_scheme(400, 0.5, 100.0)  # large k
-        sz = practical(s, 0.0625)
+        sz = sizes_at(s, 0.0625)
         cap = math.ceil(150.0 * math.sqrt(400))
         assert sz.m1 == cap and sz.s2 == cap
         assert sz.capped[0] and sz.capped[2]
         assert not sz.capped[1]  # s1 formula is already sqrt-scale
-        uncapped = practical(s, 0.0625, budget_scale=None)
+        uncapped = sizes_at(s, 0.0625, budget_scale=None)
         assert uncapped.s2 == math.ceil(
             8.0 * (s.k / 0.0625) ** 2 * math.sqrt(400) * math.log(s.k + 2)
         )
@@ -77,10 +75,6 @@ class TestPhaseSizes:
             TesterConfig(eps=0.0)
         with pytest.raises(BadParams):
             TesterConfig(eps=0.5, c1=0.0)
-        with pytest.raises(BadParams):
-            TesterConfig(eps=0.5, mode="bogus")
-        with pytest.raises(BadParams):
-            TesterConfig(eps=0.5, budget_scale=-1.0)
 
 
 class TestEstimateQ:
@@ -111,11 +105,11 @@ class TestEstimateQ:
 
     def test_monte_carlo_accuracy_vs_oracle(self):
         # with q = p, the max per-bucket deviation stays within
-        # delta/(8k+8) in >= 99% of seeded trials at the faithful size
+        # delta/(8k+8) in >= 99% of seeded trials at the uncapped size
         n, delta = 100, 0.2
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)  # k = 5
-        m = phase_sizes(s, delta, 128.0, 1.0, 1.0, None, MODE_FAITHFUL).m1
+        m = phase_sizes(s, delta, 128.0, 1.0, 1.0, None).m1
         tol = delta / (8 * s.k + 8)
         truth = exact_bucket_masses(s, p)
         proto = AliasSampler(p, 0)
@@ -212,7 +206,7 @@ class TestCollectHeavySupport:
         n = 400
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        s1 = practical(s, 0.1).s1
+        s1 = sizes_at(s, 0.1).s1
         truth = exact_bucket_masses(s, p)
         heavy_truth = truth.copy()
         heavy_truth[: s.j_star] = 0.0
@@ -382,7 +376,7 @@ class TestCoarseCompare:
         n = 200
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        sz = practical(s, 0.5, c1=2.0, c3=0.01, budget_scale=None)
+        sz = sizes_at(s, 0.5, c1=2.0, c3=0.01, budget_scale=None)
         counter = QueryCounter(p)
         stream = AliasSampler(p, seed=5)
         coarse_compare(stream, counter, s, sz, spawn_rng(5, TAG_PROBE))
@@ -393,7 +387,7 @@ class TestCoarseCompare:
         n = 400
         p = uniform_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        sz = practical(s, 0.1, c1=1.0, c3=0.1, budget_scale=None)
+        sz = sizes_at(s, 0.1, c1=1.0, c3=0.1, budget_scale=None)
         proto = AliasSampler(p, 0)
         for t in range(25):
             stream = proto.spawn(seed_sequence(31, TAG_TRIAL, t))
@@ -406,7 +400,7 @@ class TestCoarseCompare:
         p = validate_pmf(np.concatenate([np.full(200, 1.5 / n), np.full(200, 0.5 / n)]))
         q = uniform_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        sz = practical(s, 0.1, c1=4.0, c3=1.0, budget_scale=None)
+        sz = sizes_at(s, 0.1, c1=4.0, c3=1.0, budget_scale=None)
         proto = AliasSampler(q, 0)
         for t in range(25):
             stream = proto.spawn(seed_sequence(37, TAG_TRIAL, t))
@@ -417,7 +411,7 @@ class TestCoarseCompare:
         n = 100
         p = uniform_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        sz = practical(s, 0.5)
+        sz = sizes_at(s, 0.5)
         stream = FileSampleStream(np.zeros(10, dtype=np.int64), n=n)
         with pytest.raises(SampleExhausted):
             coarse_compare(stream, p, s, sz, spawn_rng(0, TAG_PROBE))
@@ -426,7 +420,7 @@ class TestCoarseCompare:
         n = 150
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        sz = practical(s, 0.3, c1=1.0, c3=0.1, budget_scale=None)
+        sz = sizes_at(s, 0.3, c1=1.0, c3=0.1, budget_scale=None)
         stream = AliasSampler(p, seed=9)
         out = coarse_compare(stream, p, s, sz, spawn_rng(9, TAG_PROBE))
         assert abs(out.estimates.q_hat.sum() - 1.0) <= 1e-9

@@ -4,10 +4,12 @@ and calibration."""
 import numpy as np
 import pytest
 
-from idtest.bucketing import build_scheme, exact_bucket_masses
+from idtest.bucketing import MAX_BUDGET, build_scheme, exact_bucket_masses
 from idtest.distributions import zipf_pmf
 from idtest.errors import BadParams, CalibrationFailed, InvariantViolated
 from idtest.harness import (
+    LEMMA_SCHEME_C,
+    LEMMA_SCHEME_EPS,
     baseline_identity_test,
     calibrate_constants,
     fit_loglog_slope,
@@ -20,7 +22,7 @@ from idtest.harness import (
 )
 from idtest.rng import TAG_TRIAL, seed_sequence
 from idtest.distributions import AliasSampler
-from idtest.tester import TesterConfig
+from idtest.tester import TesterConfig, plan_sizes
 
 
 class TestWilsonInterval:
@@ -156,8 +158,8 @@ class TestLemmaCheck:
             lemma_check(100, 0.4, trials=0)
 
     def test_reads_only_c1_to_c3_uncapped(self):
-        # a tiny cap and other c4 / gamma leave the comparator runs unchanged
-        other = TesterConfig(eps=0.5, c4=9.0, gamma=2.0, budget_scale=1.0)
+        # another eps and c4 leave the comparator runs unchanged
+        other = TesterConfig(eps=0.5, c4=9.0)
         base = lemma_check(100, 0.4, trials=6, include_gap=False)
         assert lemma_check(100, 0.4, trials=6, include_gap=False, config=other) == base
         fewer = TesterConfig(eps=0.5, c1=1.0, c2=0.5, c3=0.1)
@@ -167,6 +169,23 @@ class TestLemmaCheck:
     def test_delta_outside_range_is_bad_params(self, delta):
         with pytest.raises(BadParams, match="delta"):
             lemma_check(100, delta, trials=3)
+
+    @pytest.mark.parametrize(
+        "n, delta", [(10**4, 0.01), (400, 1e-300)], ids=["over-cap", "overflow"]
+    )
+    def test_plan_over_cap_is_bad_params(self, n, delta):
+        # refused before any trial runs, as the tester refuses its plan
+        with pytest.raises(BadParams, match=r"m1 \+ s1 \+ s2 ="):
+            lemma_check(n, delta, trials=3)
+
+    def test_largest_plan_in_use_fits_the_cap(self):
+        # n = 400, delta = 0.1: acceptance criterion 3 and comparator-400
+        scheme = build_scheme(400, LEMMA_SCHEME_EPS, LEMMA_SCHEME_C)
+        config = TesterConfig(eps=LEMMA_SCHEME_EPS)
+        sizes, S = plan_sizes(scheme, 0.1, config, None)
+        total = sizes.m1 + sizes.s1 + sizes.s2
+        assert (total, S) == (1_677_343, 0)
+        assert total <= MAX_BUDGET
 
 
 class TestBaseline:

@@ -205,14 +205,6 @@ class TestMomentDecide:
         assert not lo.accept and not hi.accept
         assert np.all(lo.rejected <= hi.rejected)
 
-    def test_slack_scales_threshold(self):
-        _, s, masses = self.make()
-        j = int(np.nonzero(masses)[0][0])
-        thr = self.threshold(s, masses, j)
-        stats = self.stats_with(s, j, thr * 1.5)
-        assert not moment_decide(stats, masses, s, 0.5, slack=1.0).accept
-        assert moment_decide(stats, masses, s, 0.5, slack=2.0).accept
-
     def test_dimension_mismatch(self):
         _, s, _ = self.make()
         stats = CollisionStats(10, np.zeros(s.k + 1))
