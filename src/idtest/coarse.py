@@ -17,6 +17,13 @@ Heavy buckets are compared at tolerance delta/(8k+8), light buckets at
 delta/(4k+4); the first strict exceedance (heavy checks first, then
 light, each in increasing bucket order) yields Case 2.
 
+Phases 1 and 3 stream their samples and probes in blocks of
+bucketing._BLOCK, so a phase holds O(block) temporaries (a few MB) at any
+size; only the index arrays given to p.lookup outlive their block. The
+results are bit-equal to one pass over the whole phase: integer counts
+add exactly, and np.add.at accumulates the probe contributions in input
+order, as bincount(weights=) does.
+
 phase_sizes turns delta, the multipliers c1-c3 and the cap into a
 PhaseSizes; coarse_compare runs the phases at those sizes. The module
 holds no configuration of its own: the calibrated defaults and their
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bucketing import BucketScheme, bucket_indices
+from .bucketing import _BLOCK, BucketScheme, bucket_indices
 from .errors import BadParams, InvariantViolated
 from .distributions import SampleStream
 
@@ -127,14 +134,20 @@ def estimate_q(
 ) -> np.ndarray:
     """Empirical bucket frequencies from exactly m q-samples.
 
-    Performs exactly m p-queries (one per sample, repeats included).
+    Performs exactly m p-queries (one per sample, repeats included). The
+    samples are drawn, looked up and counted in blocks of _BLOCK, so the
+    temporaries stay O(_BLOCK) rather than O(m); the integer counts add up
+    exactly, and a SampleStream yields the same draws however they are
+    batched, so the result does not depend on the block size.
     """
     if m < 1:
         raise BadParams("m must be >= 1")
-    draws = source.draw_many(m)
-    pv = p.lookup(draws)
-    buckets = bucket_indices(scheme, pv)
-    return np.bincount(buckets, minlength=scheme.k + 1) / float(m)
+    counts = np.zeros(scheme.k + 1, dtype=np.int64)
+    for a in range(0, m, _BLOCK):
+        draws = source.draw_many(min(_BLOCK, m - a))
+        buckets = bucket_indices(scheme, p.lookup(draws))
+        counts += np.bincount(buckets, minlength=scheme.k + 1)
+    return counts / float(m)
 
 
 def collect_heavy_support(
@@ -173,28 +186,40 @@ def uniform_probe(
     Draws s2_size indices uniformly with replacement and performs exactly
     that many p-queries. Each probe landing in a bucket below j_star
     contributes p_i * n, so the estimate is unbiased for the bucket mass.
+
+    The probes run in blocks of _BLOCK, so the temporaries stay O(_BLOCK)
+    rather than O(s2_size); only the index arrays handed to p.lookup
+    outlive their block (a QueryCounter keeps them). The uniforms fill one
+    reused buffer, which consumes rng exactly as one s2_size draw would. A
+    probe in a heavy bucket contributes 0.0, so no compaction is needed,
+    and np.add.at adds the contributions into one accumulator in input
+    order, as bincount(weights=) does over the whole array: the sums are
+    bit-equal to the unblocked ones.
     """
     if s2_size < 1:
         raise BadParams("s2_size must be >= 1")
     n = scheme.n
-    u = rng.random(s2_size)
-    idx = np.minimum((u * n).astype(np.int64), n - 1)
-    pv = p.lookup(idx)
-    buckets = bucket_indices(scheme, pv)
-    mask = buckets < scheme.j_star
-    contrib = pv[mask]
     # every light-bucket probe is worth at most ~1/sqrt(n): the top light
     # boundary sits below bucket j_star's upper bound
-    if contrib.size:
-        limit = (1.0 + scheme.eps_prime) / math.sqrt(n) * (1.0 + 1e-12)
+    limit = (1.0 + scheme.eps_prime) / math.sqrt(n) * (1.0 + 1e-12)
+    total = np.zeros(scheme.k + 1)
+    u = np.empty(min(s2_size, _BLOCK))
+    for a in range(0, s2_size, _BLOCK):
+        ub = rng.random(out=u[: min(_BLOCK, s2_size - a)])
+        ub *= n
+        idx = ub.astype(np.int64)  # fresh each block: p.lookup may keep it
+        np.minimum(idx, n - 1, out=idx)
+        pv = p.lookup(idx)
+        buckets = bucket_indices(scheme, pv)
+        contrib = np.where(buckets < scheme.j_star, pv, 0.0)
         peak = float(contrib.max())
         if peak > limit:
             raise InvariantViolated(
                 f"light-bucket probe contribution {peak} exceeds {limit}"
             )
-    return np.bincount(
-        buckets[mask], weights=contrib * float(n), minlength=scheme.k + 1
-    ) / float(s2_size)
+        contrib *= n
+        np.add.at(total, buckets, contrib)
+    return total / float(s2_size)
 
 
 def coarse_decide(

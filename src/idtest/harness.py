@@ -538,8 +538,15 @@ def calibrate_constants(
 
     The current defaults are checked first and returned unchanged when
     they pass; otherwise candidate points are tried in increasing total
-    cost. Raises CalibrationFailed when nothing in the space passes.
+    cost. Raises CalibrationFailed when nothing in the space passes, and
+    BadParams for a search_space key outside CALIBRATION_KNOBS.
     """
+    unknown = sorted(set(search_space or {}) - set(CALIBRATION_KNOBS))
+    if unknown:
+        raise BadParams(
+            f"search_space: unknown key(s) {', '.join(unknown)}; "
+            f"the known keys are {', '.join(CALIBRATION_KNOBS)}"
+        )
     targets = dict(DEFAULT_TARGETS if target_rates is None else target_rates)
     base = TesterConfig(eps=eps)
     defaults = {k: getattr(base, k) for k in CALIBRATION_KNOBS}

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idtest.bucketing import bucket_indices, build_scheme, exact_bucket_masses
+from idtest.bucketing import _BLOCK, bucket_indices, build_scheme, exact_bucket_masses
 from idtest.coarse import (
     CASE1,
     CASE2,
@@ -31,6 +32,7 @@ from idtest.distributions import (
     zipf_pmf,
 )
 from idtest.errors import BadParams, InvariantViolated, SampleExhausted
+from idtest.harness import LEMMA_SCHEME_C, LEMMA_SCHEME_EPS
 from idtest.rng import TAG_PROBE, TAG_TRIAL, seed_sequence, spawn_rng
 from idtest.tester import PHASE_CAP, QueryCounter, TesterConfig
 
@@ -75,6 +77,95 @@ class TestPhaseSizes:
             TesterConfig(eps=0.0)
         with pytest.raises(BadParams):
             TesterConfig(eps=0.5, c1=0.0)
+
+
+# Block-boundary sizes for the streamed phases: one probe, one short of a
+# block, exactly one block, one over, and two blocks plus a partial third.
+STREAM_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+STREAM_N = 2**18  # large enough that reused index buffers change distinct counts
+STREAM_PMFS = {
+    "uniform": lambda: uniform_pmf(STREAM_N),
+    "zipf": lambda: zipf_pmf(STREAM_N),
+    "point-mass": lambda: point_mass_pmf(STREAM_N, 5),
+}
+
+
+def reference_estimate_q(source, p, scheme, m):
+    """estimate_q as one m-sized draw, lookup and bincount."""
+    draws = source.draw_many(m)
+    buckets = bucket_indices(scheme, p.lookup(draws))
+    return np.bincount(buckets, minlength=scheme.k + 1) / float(m)
+
+
+def reference_uniform_probe(p, scheme, s2_size, rng):
+    """uniform_probe as one s2-sized pass with boolean compaction."""
+    n = scheme.n
+    u = rng.random(s2_size)
+    idx = np.minimum((u * n).astype(np.int64), n - 1)
+    pv = p.lookup(idx)
+    buckets = bucket_indices(scheme, pv)
+    mask = buckets < scheme.j_star
+    return np.bincount(
+        buckets[mask], weights=pv[mask] * float(n), minlength=scheme.k + 1
+    ) / float(s2_size)
+
+
+class TestStreamedPhasesBitEqual:
+    """The block-streamed phases equal their single-array references."""
+
+    @pytest.fixture(scope="class")
+    def pmfs(self):
+        return {name: make() for name, make in STREAM_PMFS.items()}
+
+    @pytest.fixture(scope="class")
+    def scheme(self):
+        return build_scheme(STREAM_N, 2.0, 1.0)
+
+    @pytest.mark.parametrize("kind", sorted(STREAM_PMFS))
+    @pytest.mark.parametrize("size", STREAM_SIZES)
+    def test_uniform_probe(self, pmfs, scheme, kind, size):
+        p = pmfs[kind]
+        got_counter, ref_counter = QueryCounter(p), QueryCounter(p)
+        got = uniform_probe(got_counter, scheme, size, spawn_rng(11, TAG_PROBE))
+        ref = reference_uniform_probe(ref_counter, scheme, size, spawn_rng(11, TAG_PROBE))
+        assert got.dtype == ref.dtype == np.float64
+        assert np.array_equal(got, ref)
+        assert got_counter.total == ref_counter.total == size
+        assert got_counter.distinct_count == ref_counter.distinct_count
+
+    @pytest.mark.parametrize("kind", sorted(STREAM_PMFS))
+    @pytest.mark.parametrize("size", STREAM_SIZES)
+    def test_estimate_q_alias(self, pmfs, scheme, kind, size):
+        p = pmfs[kind]
+        proto = AliasSampler(p, 0)
+        got_src = proto.spawn(seed_sequence(12, TAG_TRIAL, 0))
+        ref_src = proto.spawn(seed_sequence(12, TAG_TRIAL, 0))
+        got_counter, ref_counter = QueryCounter(p), QueryCounter(p)
+        got = estimate_q(got_src, got_counter, scheme, size)
+        ref = reference_estimate_q(ref_src, ref_counter, scheme, size)
+        assert np.array_equal(got, ref)
+        assert got_src.draws == ref_src.draws == size
+        assert got_counter.total == ref_counter.total == size
+        assert got_counter.distinct_count == ref_counter.distinct_count
+
+    @pytest.mark.parametrize("size", STREAM_SIZES)
+    def test_estimate_q_file_stream(self, pmfs, scheme, size):
+        p = pmfs["zipf"]
+        samples = np.random.default_rng(13).integers(0, STREAM_N, size + 7)
+        before = samples.copy()
+        got_src = FileSampleStream(samples, n=STREAM_N)
+        got_src.draw_many(2)  # start mid-buffer
+        got_counter, ref_counter = QueryCounter(p), QueryCounter(p)
+        got = estimate_q(got_src, got_counter, scheme, size)
+        ref_src = FileSampleStream(samples, n=STREAM_N)
+        ref_src.draw_many(2)
+        ref = reference_estimate_q(ref_src, ref_counter, scheme, size)
+        assert np.array_equal(got, ref)
+        assert got_src.remaining == 5  # the cursor moved by exactly size
+        assert got_src.draws == size + 2
+        assert np.array_equal(samples, before)
+        assert got_counter.total == size
+        assert got_counter.distinct_count == ref_counter.distinct_count
 
 
 class TestEstimateQ:
@@ -281,6 +372,48 @@ class TestUniformProbe:
         broken = dataclasses.replace(s, j_star=s.k + 1)
         with pytest.raises(InvariantViolated, match="light-bucket probe"):
             uniform_probe(p, broken, 200, spawn_rng(7, TAG_PROBE))
+
+
+    def test_contribution_bound_checked_in_every_block(self):
+        # the only light probe above the bound is the last probe of the
+        # second block: a check on the first block alone would miss it
+        n = 400
+        s = build_scheme(n, 2.0, 1.0)
+        broken = dataclasses.replace(s, j_star=s.k + 1)  # every bucket light
+
+        class LateSpike:
+            """p-values 1/n, except a 0.97 at the end of the second lookup."""
+
+            n = 400
+
+            def __init__(self):
+                self.calls = 0
+
+            def lookup(self, indices):
+                self.calls += 1
+                pv = np.full(indices.shape, 1.0 / n)
+                if self.calls == 2:
+                    pv[-1] = 0.97
+                return pv
+
+        spike = LateSpike()
+        with pytest.raises(InvariantViolated, match="contribution 0.97 exceeds"):
+            uniform_probe(spike, broken, _BLOCK + 1, spawn_rng(8, TAG_PROBE))
+        assert spike.calls == 2
+
+    def test_temporaries_stay_block_sized(self):
+        # s2 of lemma_check(400, 0.1) on the lemma scheme; one array of that
+        # many float64 values alone is 9.6 MB
+        s = build_scheme(400, LEMMA_SCHEME_EPS, LEMMA_SCHEME_C)
+        p = zipf_pmf(400)
+        rng = spawn_rng(9, TAG_PROBE)
+        tracemalloc.start()
+        try:
+            uniform_probe(p, s, 1_197_759, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def synthetic_estimates(scheme, q_hat=None, heavy=None, probe=None):

@@ -275,6 +275,16 @@ class TestCalibrateConstants:
                 trials=30,
             )
 
+    def test_unknown_knob_raises(self):
+        # a knob outside CALIBRATION_KNOBS would never vary: refuse it by name
+        with pytest.raises(BadParams, match="unknown key.*gamma"):
+            calibrate_constants(
+                target_rates={"accept_identical": 0.0},
+                search_space={"gamma": [0.5, 2.0]},
+                n=64,
+                trials=30,
+            )
+
     def test_unreachable_target_fails(self):
         with pytest.raises(CalibrationFailed):
             calibrate_constants(
