@@ -16,8 +16,17 @@ cell holds at most one of them: every value in a cell lies in the bucket of
 the cell's lowest value or in the next one, and one comparison with that
 bucket's upper boundary decides. The cell table covers the cells from
 boundaries[0] to boundaries[k], O(k) entries; values outside it (negative
-numbers, -0.0, subnormals, anything above boundaries[k]) clip to an end cell
-and the same comparison places them.
+numbers, -0.0, subnormals, anything above boundaries[k]) are clamped to an
+end cell and the same comparison places them.
+
+Beside each cell's bucket the table stores that bucket's upper boundary,
++inf in the top cell so that nothing climbs past k. A lookup is then a
+shift, a clamp, two gathers that do not depend on each other, and one
+comparison. The cells are computed in the output array and replaced in
+place by their buckets, so a lookup allocates one work array beside its
+output. Inputs run in blocks of _BLOCK = 2^16 values that reuse one
+512 KiB work array, so the temporaries stay O(_BLOCK) however many values
+are looked up.
 """
 from __future__ import annotations
 
@@ -53,10 +62,12 @@ class BucketScheme:
     # boundaries[j] = base * (1+eps')**j, the inclusive upper bound of R_j
     boundaries: np.ndarray = field(repr=False)
     # float64 bits >> cell_shift is a value's cell; cell_bucket[c - cell_lo]
-    # is the bucket of the lowest value of cell c
+    # is the bucket of the lowest value of cell c, and cell_upper[c - cell_lo]
+    # that bucket's upper boundary (+inf in the top cell)
     cell_shift: int = field(repr=False)
     cell_lo: int = field(repr=False)
     cell_bucket: np.ndarray = field(repr=False)
+    cell_upper: np.ndarray = field(repr=False)
 
     @property
     def j_star_degenerate(self) -> bool:
@@ -123,7 +134,12 @@ def _build_scheme(n: int, eps: float, C: float) -> BucketScheme:
     lo, hi = (boundaries[[0, -1]].view(np.int64) >> shift).tolist()
     lowest = (np.arange(lo, hi + 1, dtype=np.int64) << shift).view(np.float64)
     cell_bucket = np.searchsorted(boundaries, lowest, side="left")
+    # only the top cell can hold values above boundaries[k]; every other
+    # cell lies below the top cell's lowest value, itself <= boundaries[k]
+    cell_upper = boundaries[cell_bucket]
+    cell_upper[-1] = np.inf
     cell_bucket.flags.writeable = False
+    cell_upper.flags.writeable = False
     return BucketScheme(
         n=n,
         eps=eps,
@@ -136,6 +152,7 @@ def _build_scheme(n: int, eps: float, C: float) -> BucketScheme:
         cell_shift=shift,
         cell_lo=lo,
         cell_bucket=cell_bucket,
+        cell_upper=cell_upper,
     )
 
 
@@ -146,22 +163,37 @@ def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
     """Vectorized bucket lookup: the first j with prob <= boundaries[j].
 
     Equal to min(searchsorted(boundaries, probs, "left"), k) for every
-    non-NaN double. A value's cell (float64 bits >> cell_shift, clipped to
+    non-NaN double. A value's cell (float64 bits >> cell_shift, clamped to
     the table) gives the bucket j of the cell's lowest value; the cell holds
-    at most one boundary, so the answer is j + (prob > boundaries[j]),
-    capped at k for values above the top boundary.
+    at most one boundary, so the answer is j + (prob > cell_upper), where
+    cell_upper is boundaries[j], or +inf in the top cell so that values
+    above the top boundary stay at k.
     """
     arr = np.asarray(probs, dtype=np.float64)
     flat = arr.reshape(-1)
     out = np.empty(flat.size, dtype=np.int64)
+    upper = np.empty(min(flat.size, _BLOCK))
     for a in range(0, flat.size, _BLOCK):
         x = flat[a : a + _BLOCK]
-        cell = x.view(np.int64) >> scheme.cell_shift
+        # the cells are computed in out and each one is replaced by its
+        # bucket by the last gather, which passes the cells as take's
+        # indices and as its output. That relies on numpy behaviour its
+        # documentation does not promise: take reads index i before it
+        # writes element i, and it checks out for overlap with the table
+        # only, not with the indices (checked on numpy 2.4.6).
+        # test_cell_table_equals_clipped_searchsorted guards it; re-run it
+        # after a numpy upgrade.
+        cell = out[a : a + _BLOCK]
+        np.right_shift(x.view(np.int64), scheme.cell_shift, out=cell)
         cell -= scheme.cell_lo
-        # mode="clip" puts cells outside the table on its end cells
-        j = np.take(scheme.cell_bucket, cell, mode="clip", out=out[a : a + _BLOCK])
-        j += x > np.take(scheme.boundaries, j, mode="clip")
-        np.minimum(j, scheme.k, out=j)
+        np.maximum(cell, 0, out=cell)
+        np.minimum(cell, scheme.cell_bucket.size - 1, out=cell)
+        # the clamped cells are in range, so "wrap" never wraps; it skips the
+        # per-element bound handling of "clip" and the buffered copy that
+        # "raise" makes with out=
+        u = scheme.cell_upper.take(cell, mode="wrap", out=upper[: x.size])
+        scheme.cell_bucket.take(cell, mode="wrap", out=cell)
+        cell += x > u
     return out.reshape(arr.shape)
 
 

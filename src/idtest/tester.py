@@ -167,7 +167,8 @@ def plan_sizes(
     comparator alone, as lemma_check runs it). Raises BadParams before any
     sampling when m1 + s1 + s2 (+ S) exceeds MAX_BUDGET or a size overflows
     a float, as huge multipliers, a tiny delta or an uncapped plan at large
-    k make it do.
+    k make it do, and when eps is given and S < 2, too few samples for a
+    collision (a tiny c4 makes it so).
     """
     terms = "m1 + s1 + s2" if eps is None else "m1 + s1 + s2 + S"
     try:
@@ -183,6 +184,8 @@ def plan_sizes(
             f"the plan needs {terms} = {total:.3g} samples and "
             f"queries, more than the {MAX_BUDGET:.0e} allowed"
         )
+    if eps is not None and S < 2:
+        raise BadParams(f"the plan gives S = {S} collision samples; S must be >= 2")
     return sizes, S
 
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idtest.bucketing import MAX_K, bucket_indices, build_scheme, exact_bucket_masses
+from idtest.bucketing import (
+    _BLOCK,
+    MAX_K,
+    bucket_indices,
+    build_scheme,
+    exact_bucket_masses,
+)
 from idtest.distributions import (
     perturbed_pmf,
     point_mass_pmf,
@@ -53,7 +59,7 @@ class TestBuildScheme:
     def test_cached_read_only(self):
         s = build_scheme(1024, 0.5, 100.0)
         assert build_scheme(np.int64(1024), np.float64(0.5), 100) is s
-        for arr in (s.boundaries, s.cell_bucket):
+        for arr in (s.boundaries, s.cell_bucket, s.cell_upper):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         with pytest.raises(BadParams):
@@ -141,6 +147,19 @@ class TestBucketIndex:
         ])
         want = np.minimum(np.searchsorted(b, probs, side="left"), s.k)
         assert np.array_equal(bucket_indices(s, probs), want)
+        # exactly one block, and more than two blocks with a partial last one
+        for size in (_BLOCK, 2 * _BLOCK + 3):
+            tiled = np.resize(probs, size)
+            assert np.array_equal(bucket_indices(s, tiled), np.resize(want, size))
+
+    def test_cell_upper_is_the_cell_buckets_boundary(self):
+        # the top cell alone reads +inf, so nothing climbs past bucket k
+        for n, eps, C in [(400, 2.0, 1.0), (1024, 0.5, 100.0), (10**7, 0.01, 200.0)]:
+            s = build_scheme(n, eps, C)
+            assert s.cell_bucket[-1] == s.k
+            assert np.array_equal(s.cell_upper[:-1], s.boundaries[s.cell_bucket[:-1]])
+            assert s.cell_upper[-1] == np.inf
+            assert bucket_indices(s, [np.inf, 2.0]).tolist() == [s.k, s.k]
 
     def test_cell_table_is_o_of_k(self):
         rng = np.random.default_rng(11)

@@ -390,6 +390,8 @@ TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
         ["calibrate", "--n", "16", "--seed", "1", "--c1-grid", "64,y"],
         ["lemma-check", "--n", "10000", "--delta", "0.01", "--seed", "1"],
         ["lemma-check", "--n", "400", "--delta", "1e-300", "--seed", "1"],
+        ["test", "--pmf", "{zipf}", "--q", "self", "--eps", "0.5", "--seed", "1",
+         "--c4", "0.0005"],
     ]
     + [
         ["lemma-check", "--n", str(n), "--delta", "0.1", "--trials", "3", "--seed", "1"]
@@ -399,12 +401,18 @@ TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
          "c1-nan", "c4-nan", "c3-inf", "c4-inf", "C-inf", "C-1e300", "C-1e12",
          "c4-1e12", "c1-1e300", "bench-c4-1e12", "oracle-C-inf", "oracle-C-1e12",
          "n-grid-not-int", "grid-not-float", "lemma-plan-over-cap",
-         "lemma-plan-overflow"]
+         "lemma-plan-overflow", "S-below-two"]
     + [f"lemma-check-n{n}" for n in range(2, 10)],
 )
 def test_bad_value_exits_two(tmp_path, capsys, argv):
+    from idtest.distributions import zipf_pmf
+    from idtest.io import write_pmf
+
     pmf = make_uniform_pmf_file(tmp_path, 16)
-    code, out, err = run_cli(capsys, *(a.format(pmf=pmf) for a in argv))
+    # on zipf p the coarse stage rejects, so a check after it would exit 1
+    zipf = tmp_path / "zipf.pmf"
+    write_pmf(zipf, zipf_pmf(400))
+    code, out, err = run_cli(capsys, *(a.format(pmf=pmf, zipf=zipf) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error:")

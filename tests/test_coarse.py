@@ -1,6 +1,7 @@
 """Tests for the coarse bucket-mass comparator."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idtest import bucketing, coarse
 from idtest.bucketing import _BLOCK, bucket_indices, build_scheme, exact_bucket_masses
 from idtest.coarse import (
     CASE1,
@@ -34,7 +36,7 @@ from idtest.distributions import (
 from idtest.errors import BadParams, InvariantViolated, SampleExhausted
 from idtest.harness import LEMMA_SCHEME_C, LEMMA_SCHEME_EPS
 from idtest.rng import TAG_PROBE, TAG_TRIAL, seed_sequence, spawn_rng
-from idtest.tester import PHASE_CAP, QueryCounter, TesterConfig
+from idtest.tester import PHASE_CAP, QueryCounter, TesterConfig, identity_test, query_audit
 
 
 def sizes_at(
@@ -166,6 +168,35 @@ class TestStreamedPhasesBitEqual:
         assert np.array_equal(samples, before)
         assert got_counter.total == size
         assert got_counter.distinct_count == ref_counter.distinct_count
+
+
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    # the block size bounds temporaries only: comparator estimates and the
+    # JSON of seeded verdicts (coarse reject on zipf, moment stage on
+    # uniform) are the same with phases of one block and of many
+    n = STREAM_N
+    scheme = build_scheme(n, 2.0, 1.0)
+    sizes = sizes_at(scheme, 0.1)
+    assert min(sizes.m1, sizes.s2) > 2**16
+    cfg = TesterConfig(eps=0.5, master_seed=4)
+    pmfs = [zipf_pmf(n), uniform_pmf(n)]
+    samplers = [AliasSampler(p, 0) for p in pmfs]
+    results = []
+    for block in (2**10, 2**14, 2**16):
+        monkeypatch.setattr(bucketing, "_BLOCK", block)
+        monkeypatch.setattr(coarse, "_BLOCK", block)
+        stream = samplers[0].spawn(seed_sequence(5, TAG_TRIAL, 0))
+        est = coarse_compare(stream, pmfs[0], scheme, sizes, spawn_rng(5, TAG_PROBE)).estimates
+        got = [est.q_hat.tobytes(), est.heavy_mass.tobytes(), est.probe_mass.tobytes()]
+        for p, sampler in zip(pmfs, samplers):
+            stream = sampler.spawn(seed_sequence(4, TAG_TRIAL, 0))
+            v = identity_test(p, stream, cfg)
+            audit = dataclasses.asdict(query_audit(v, n, cfg))
+            got.append(json.dumps([v.to_dict(), audit], sort_keys=True))
+        results.append(got)
+    assert json.loads(results[0][3])[0]["stage"] == "coarse"
+    assert json.loads(results[0][4])[0]["moment"] is not None
+    assert results[0] == results[1] == results[2]
 
 
 class TestEstimateQ:

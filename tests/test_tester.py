@@ -345,6 +345,19 @@ class TestQueryAudit:
         with pytest.raises(BadParams):
             closed_form_budget(16, cfg)
 
+    @pytest.mark.parametrize("pmf", [uniform_pmf, zipf_pmf])
+    def test_collision_sample_below_two_is_bad_params(self, pmf):
+        # S = ceil(0.0005 * 20 * ln 401 / 0.25) = 1: refused before any
+        # sample is drawn, whether or not p would pass the coarse stage
+        p = pmf(400)
+        cfg = TesterConfig(eps=0.5, c4=0.0005)
+        stream = AliasSampler(p, 1)
+        with pytest.raises(BadParams, match="S = 1"):
+            identity_test(p, stream, cfg)
+        assert stream.draws == 0
+        with pytest.raises(BadParams, match="S = 1"):
+            closed_form_budget(400, cfg)
+
     def test_largest_plan_in_use_fits_the_cap(self):
         # one n = 2^20 run at eps = 0.5 and the defaults, as in single-1m
         total = closed_form_budget(2**20, TesterConfig(eps=0.5))["total"]
