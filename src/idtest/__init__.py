@@ -42,7 +42,6 @@ from .distributions import (
 from .harness import (
     Instance,
     TrialReport,
-    calibrate_constants,
     lemma_check,
     make_instance,
     run_trials,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: test, generate, bench, lemma-check, oracle, calibrate.
-Exit codes: 0 accept, 1 reject, 2 usage or input error. Every randomized
-subcommand takes --seed; when omitted a fresh seed is generated and
-recorded in the output so runs stay reproducible.
+Subcommands: test, generate, bench, lemma-check, oracle. The tester is
+set by --eps alone (and --trials on test); its sample-size constants are
+fixed in tester.py. Exit codes: 0 accept, 1 reject, 2 usage or input
+error. Every randomized subcommand takes --seed; when omitted a fresh
+seed is generated and recorded in the output so runs stay reproducible.
 """
 from __future__ import annotations
 
@@ -18,22 +19,16 @@ import numpy as np
 from .bucketing import build_scheme, exact_bucket_masses
 from .distributions import AliasSampler, generate_instance, l1_distance
 from .errors import BadParams, IdTestError
-from .harness import (
-    CALIBRATION_KNOBS,
-    calibrate_constants,
-    lemma_check,
-    scaling_experiment,
-)
+from .harness import lemma_check, scaling_experiment
 from .io import read_pmf, read_samples, write_pmf, write_samples
 from .rng import TAG_Q_STREAM, fresh_seed, seed_sequence
 from .tester import (
     DECISION_ACCEPT,
+    SCHEME_C,
     TesterConfig,
     amplified_test,
     query_audit,
 )
-
-CONFIG_FLAGS = ("C", "c1", "c2", "c3", "c4")
 
 
 def _emit(obj, out_path=None) -> None:
@@ -58,48 +53,14 @@ def _number_list(text: str, kind, flag: str) -> list:
         raise BadParams(f"{flag} needs comma-separated numbers, got {text!r}") from None
 
 
-def _tester_config(args, seed: int) -> TesterConfig:
-    kw = {"eps": args.eps, "master_seed": seed}
-    if getattr(args, "calibration", None):
-        try:
-            loaded = json.loads(Path(args.calibration).read_text())
-        except ValueError as exc:
-            raise BadParams(f"--calibration: {exc}") from None
-        src = loaded.get("recommended", loaded) if isinstance(loaded, dict) else None
-        if not isinstance(src, dict):
-            raise BadParams("--calibration needs a JSON object")
-        unknown = sorted(set(src) - set(CONFIG_FLAGS))
-        if unknown:
-            raise BadParams(
-                f"--calibration: unknown key(s) {', '.join(unknown)}; "
-                f"the known keys are {', '.join(CONFIG_FLAGS)}"
-            )
-        kw.update(src)
-    for key in CONFIG_FLAGS:
-        val = getattr(args, key.lower(), None)
-        if val is not None:
-            kw[key] = val
-    if getattr(args, "trials", None) is not None:
-        kw["trials_for_amplification"] = args.trials
-    return TesterConfig(**kw)
-
-
-def _add_config_flags(sp) -> None:
-    sp.add_argument("--eps", type=float, required=True, help="distance parameter")
-    sp.add_argument("--C", dest="c", type=float, help="bucket constant (default 100)")
-    sp.add_argument("--c1", type=float, help="q-estimate sample multiplier")
-    sp.add_argument("--c2", type=float, help="heavy-capture sample multiplier")
-    sp.add_argument("--c3", type=float, help="uniform-probe sample multiplier")
-    sp.add_argument("--c4", type=float, help="collision sample multiplier")
-    sp.add_argument("--calibration", help="JSON file with calibrated constants")
-
-
 def cmd_test(args) -> int:
     if sum(s is not None for s in (args.q, args.q_pmf, args.q_file)) != 1:
         raise IdTestError("choose exactly one q source: --q self, --q-pmf, or --q-file")
     p = read_pmf(args.pmf)
     seed = _seed_of(args)
-    config = _tester_config(args, seed)
+    config = TesterConfig(
+        eps=args.eps, trials_for_amplification=args.trials, master_seed=seed
+    )
     if args.q == "self":
         source = AliasSampler(p, seed_sequence(seed, TAG_Q_STREAM))
         q_desc = "self"
@@ -157,13 +118,8 @@ def cmd_bench(args) -> int:
     grid = _number_list(args.n_grid, int, "--n-grid")
     if not grid:
         raise IdTestError("empty n grid")
-    config = _tester_config(args, seed)
     result = scaling_experiment(
-        grid,
-        args.eps,
-        config=config,
-        trials_per_point=args.trials_per_point,
-        master_seed=seed,
+        grid, args.eps, trials_per_point=args.trials_per_point, master_seed=seed
     )
     lines = ["n,q_samples,p_queries,wall_ms,budget,baseline_total"]
     for row in result["rows"]:
@@ -202,7 +158,7 @@ def cmd_oracle(args) -> int:
         _emit({"l1_distance": l1_distance(a, b), "n": a.n}, args.out)
         return 0
     p = read_pmf(args.pmf_a)
-    scheme = build_scheme(p.n, args.eps, args.c if args.c is not None else TesterConfig.C)
+    scheme = build_scheme(p.n, args.eps, args.c)
     masses = exact_bucket_masses(scheme, p)
     _emit(
         {
@@ -222,27 +178,6 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    seed = _seed_of(args)
-    grids = {k: getattr(args, f"{k}_grid") for k in CALIBRATION_KNOBS}
-    space = {
-        k: _number_list(text, float, f"--{k}-grid")
-        for k, text in grids.items()
-        if text is not None
-    }
-    result = calibrate_constants(
-        search_space=space,
-        n=args.n,
-        eps=args.eps,
-        trials=args.trials,
-        master_seed=seed,
-        jobs=args.jobs,
-    )
-    result["master_seed"] = seed
-    _emit(result, args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="idtest",
@@ -256,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-pmf", help="sample q synthetically from another pmf file")
     sp.add_argument("--q-file", help="recorded q samples, one 1-indexed value per line")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--trials", type=int, help="odd amplification trial count")
+    sp.add_argument("--trials", type=int, default=1, help="odd amplification trial count")
     sp.add_argument("--out", help="also write the JSON verdict here")
-    _add_config_flags(sp)
+    sp.add_argument("--eps", type=float, required=True, help="distance parameter")
     sp.set_defaults(func=cmd_test)
 
     sp = sub.add_parser("generate", help="write (p, q) instance files")
@@ -285,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the wall_ms column for byte-stable output")
     sp.add_argument("--out", help="also write the CSV here")
-    _add_config_flags(sp)
+    sp.add_argument("--eps", type=float, required=True, help="distance parameter")
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("lemma-check", help="verify the coarse comparator contract")
@@ -310,22 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     sbk = osub.add_parser("buckets", help="exact bucket masses of a pmf (O(n))")
     sbk.add_argument("pmf_a")
     sbk.add_argument("--eps", type=float, required=True)
-    sbk.add_argument("--C", dest="c", type=float)
+    sbk.add_argument("--C", dest="c", type=float, default=SCHEME_C,
+                     help=f"bucket constant (default {SCHEME_C:g})")
     sbk.add_argument("--out")
     sbk.set_defaults(func=cmd_oracle)
-
-    sp = sub.add_parser("calibrate", help="search sample multipliers meeting the contracts")
-    sp.add_argument("--n", type=int, default=400)
-    sp.add_argument("--eps", type=float, default=0.5)
-    sp.add_argument("--trials", type=int, default=120)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
-    sp.add_argument("--c1-grid")
-    sp.add_argument("--c2-grid")
-    sp.add_argument("--c3-grid")
-    sp.add_argument("--c4-grid")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_calibrate)
 
     return ap
 

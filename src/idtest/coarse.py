@@ -26,8 +26,8 @@ order, as bincount(weights=) does.
 
 phase_sizes turns delta, the multipliers c1-c3 and the cap into a
 PhaseSizes; coarse_compare runs the phases at those sizes. The module
-holds no configuration of its own: the calibrated defaults and their
-checks live on tester.TesterConfig, and callers size a run once.
+holds no configuration of its own: the tester's multipliers are the
+constants tester.C1-C3, and callers size a run once (tester.plan_sizes).
 """
 from __future__ import annotations
 
@@ -75,8 +75,8 @@ def phase_sizes(
     additive Chernoff bound suffices for the light-bucket tolerance. Unless
     budget_scale is None (uncapped), each phase is capped at
     ceil(budget_scale * sqrt(n)) so desk-scale runs stay feasible at large
-    k. The arguments are not checked here; TesterConfig (and lemma_check
-    for its delta) validates them.
+    k. The arguments are not checked here; TesterConfig validates eps, and
+    lemma_check its delta.
     """
     n, k = scheme.n, scheme.k
     lk = math.log(k + 2)

@@ -58,7 +58,3 @@ class InvariantViolated(IdTestError):
     Raised in place of `assert` so the check also runs under `python -O`.
     Like BudgetExceeded, it indicates a bug, not a bad input.
     """
-
-
-class CalibrationFailed(IdTestError):
-    """No point in the calibration search space met the target rates."""

@@ -4,12 +4,13 @@ Every probabilistic contract in the package is checked here with seeded
 Monte Carlo trials and Wilson score intervals (never raw proportions):
 accept/reject rates of the full tester, the coarse comparator's
 Case 1 / Case 2 separation against exact oracles, estimator bias, query
-budgets, and sample-complexity scaling.
+budgets, and sample-complexity scaling. Every check runs at the tester's
+sample-size constants, which are fixed in tester.py.
 """
 from __future__ import annotations
 
-import itertools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -30,10 +31,11 @@ from .distributions import (
     validate_pmf,
     zipf_pmf,
 )
-from .errors import BadParams, CalibrationFailed, InvariantViolated
+from .errors import BadParams, InvariantViolated
 from .rng import TAG_PROBE, TAG_TRIAL, seed_sequence, spawn_rng
 from .tester import (
     DECISION_ACCEPT,
+    SCHEME_C,
     TesterConfig,
     closed_form_budget,
     identity_test,
@@ -113,13 +115,14 @@ def _map_trials(worker, args: tuple, trials: int, jobs: int) -> list:
     """worker(*args, indices) over trial indices 0 .. trials-1.
 
     One chunk runs in this process when jobs <= 1; otherwise the indices
-    are split into at most `jobs` chunks, one per worker process. Returns
-    one result per chunk, in index order.
+    are split into at most `jobs` chunks, run by at most one worker process
+    per chunk and per CPU. Returns one result per chunk, in index order.
     """
     if jobs <= 1:
         return [worker(*args, range(trials))]
     chunks = [c.tolist() for c in np.array_split(np.arange(trials), jobs) if len(c)]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(len(chunks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(partial(worker, *args), chunks))
 
 
@@ -225,16 +228,14 @@ def lemma_check(
     delta: float,
     trials: int = 300,
     master_seed: int = 0,
-    config: TesterConfig | None = None,
     include_gap: bool = True,
     jobs: int = 1,
 ) -> dict:
     """Verify the comparator's Case 1 / Case 2 separation statistically.
 
-    The comparator runs at tolerance delta with the c1-c3 of config
-    (default: TesterConfig's), uncapped; the other fields of config are
-    not used. A plan above MAX_BUDGET is refused with BadParams, as in
-    the tester.
+    The comparator runs at tolerance delta with the tester's multipliers,
+    uncapped. A plan above MAX_BUDGET is refused with BadParams, as in the
+    tester.
 
     Case 1 families are p = q over three pmf shapes. Case 2 families move
     delta/2 of q-mass between two buckets of a zipf base, one move into a
@@ -254,9 +255,7 @@ def lemma_check(
         raise BadParams(
             f"lemma check needs two light buckets; n={n} gives j_star={scheme.j_star}"
         )
-    if config is None:
-        config = TesterConfig(eps=LEMMA_SCHEME_EPS)
-    sizes, _ = plan_sizes(scheme, delta, config, None)
+    sizes, _ = plan_sizes(scheme, delta, None)
 
     zipf = zipf_pmf(n)
     case1_shapes = {
@@ -406,7 +405,6 @@ def fit_loglog_slope(ns, costs) -> float | None:
 def scaling_experiment(
     n_grid,
     eps: float,
-    config: TesterConfig | None = None,
     trials_per_point: int = 3,
     master_seed: int = 0,
 ) -> dict:
@@ -421,8 +419,7 @@ def scaling_experiment(
         raise BadParams("empty n grid")
     if trials_per_point < 1:
         raise BadParams("trials_per_point must be >= 1")
-    if config is None:
-        config = TesterConfig(eps=eps)
+    config = TesterConfig(eps=eps)
     rows = []
     for n in n_grid:
         inst = make_instance("identical-uniform", n, seed=master_seed)
@@ -439,7 +436,7 @@ def scaling_experiment(
             totals.append(v.q_samples_used + v.p_queries_used)
         wall_ms = (time.perf_counter() - t0) * 1000.0 / trials_per_point
         bstream = proto.spawn(seed_sequence(master_seed, TAG_TRIAL, n, 999))
-        bres = baseline_identity_test(inst.p, bstream, eps, config.C)
+        bres = baseline_identity_test(inst.p, bstream, eps, SCHEME_C)
         b = closed_form_budget(n, config)
         rows.append(
             {
@@ -461,120 +458,3 @@ def scaling_experiment(
         "slope_baseline": fit_loglog_slope(ns, [r["baseline_total"] for r in rows]),
         "slope_wall": fit_loglog_slope(ns, [r["wall_ms"] for r in rows]),
     }
-
-
-# ---------------------------------------------------------------------------
-# Constant calibration
-# ---------------------------------------------------------------------------
-
-# Wilson-lower-bound gates. The raw contracts are 2/3 and 9/10; the gate
-# values leave the same sampling slack the acceptance thresholds use, so
-# a finite trial count can certify them.
-DEFAULT_TARGETS = {
-    "accept_identical": 0.60,
-    "reject_random_half": 0.60,
-    "reject_eps_perturbed": 0.60,
-    "lemma_case1": 0.85,
-    "lemma_case2": 0.85,
-}
-
-CALIBRATION_KNOBS = ("c1", "c2", "c3", "c4")
-
-# Tester-run targets: (target, instance kind, instance seed, offset added to
-# the master seed, whether the tester should accept).
-_TRIAL_TARGETS = (
-    ("accept_identical", "identical-uniform", 1, 0, True),
-    ("reject_random_half", "random-half", 2, 1, False),
-    ("reject_eps_perturbed", "eps-perturbed", 3, 2, False),
-)
-
-
-def _point_cost(point: dict) -> float:
-    return sum(float(point[k]) for k in CALIBRATION_KNOBS)
-
-
-def evaluate_point(
-    point: dict,
-    targets: dict,
-    n: int,
-    eps: float,
-    trials: int,
-    master_seed: int,
-    jobs: int = 1,
-) -> dict:
-    """Measure every target's Wilson lower bound at one knob setting."""
-    config = TesterConfig(eps=eps, **{k: point[k] for k in CALIBRATION_KNOBS})
-    rates = {}
-    for target, kind, inst_seed, offset, want_accept in _TRIAL_TARGETS:
-        if target not in targets:
-            continue
-        params = {"eps": eps} if kind == "eps-perturbed" else {}
-        rep = run_trials(
-            make_instance(kind, n, seed=inst_seed, **params), config, trials,
-            master_seed + offset, jobs=jobs,
-        )
-        hits = rep.accepts if want_accept else rep.trials - rep.accepts
-        rates[target] = wilson_interval(hits, rep.trials)[0]
-    if "lemma_case1" in targets or "lemma_case2" in targets:
-        lemma = lemma_check(
-            n, 0.1, trials=trials, master_seed=master_seed + 3,
-            config=config, include_gap=False, jobs=jobs,
-        )
-        rates["lemma_case1"] = lemma["case1"]["wilson_lo"]
-        rates["lemma_case2"] = lemma["case2"]["wilson_lo"]
-    return rates
-
-
-def calibrate_constants(
-    target_rates: dict | None = None,
-    search_space: dict | None = None,
-    n: int = 400,
-    eps: float = 0.5,
-    trials: int = 120,
-    master_seed: int = 0,
-    jobs: int = 1,
-) -> dict:
-    """Smallest multipliers meeting the targets on the reference suite.
-
-    The current defaults are checked first and returned unchanged when
-    they pass; otherwise candidate points are tried in increasing total
-    cost. Raises CalibrationFailed when nothing in the space passes, and
-    BadParams for a search_space key outside CALIBRATION_KNOBS.
-    """
-    unknown = sorted(set(search_space or {}) - set(CALIBRATION_KNOBS))
-    if unknown:
-        raise BadParams(
-            f"search_space: unknown key(s) {', '.join(unknown)}; "
-            f"the known keys are {', '.join(CALIBRATION_KNOBS)}"
-        )
-    targets = dict(DEFAULT_TARGETS if target_rates is None else target_rates)
-    base = TesterConfig(eps=eps)
-    defaults = {k: getattr(base, k) for k in CALIBRATION_KNOBS}
-    space = {k: [v] for k, v in defaults.items()}
-    space.update(search_space or {})
-    if any(len(v) == 0 for v in space.values()):
-        raise CalibrationFailed("empty search space")
-
-    points = [
-        dict(zip(CALIBRATION_KNOBS, vals))
-        for vals in itertools.product(*(space[k] for k in CALIBRATION_KNOBS))
-    ]
-    points.sort(key=_point_cost)
-    first = [defaults] if defaults in points else []
-    tried = []
-    for point in first + [pt for pt in points if pt not in first]:
-        rates = evaluate_point(point, targets, n, eps, trials, master_seed, jobs)
-        ok = all(rates[t] >= targets[t] - 1e-12 for t in targets)
-        tried.append({"point": point, "rates": rates, "passed": ok})
-        if ok:
-            return {
-                "recommended": point,
-                "targets": targets,
-                "n": n,
-                "eps": eps,
-                "trials": trials,
-                "evaluations": tried,
-            }
-    raise CalibrationFailed(
-        f"no point among {len(points)} candidates met the targets"
-    )

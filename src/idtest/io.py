@@ -39,11 +39,16 @@ def write_pmf(path, p: ProbabilityVector, binary: bool = False) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _decode(path, raw: bytes) -> str:
+def _text_lines(path, raw: bytes):
+    """(lineno, text) per non-blank line of UTF-8 text, '#' comments cut."""
     try:
-        return raw.decode("utf-8")
+        decoded = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BadParams(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(decoded.splitlines(), start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
 
 
 def read_pmf(path) -> ProbabilityVector:
@@ -68,10 +73,7 @@ def read_pmf(path) -> ProbabilityVector:
             )
         return _checked_pmf(vals)
     values = []
-    for lineno, line in enumerate(_decode(path, raw.tobytes()).splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in _text_lines(path, raw.tobytes()):
         try:
             values.append(float(text))
         except ValueError:
@@ -90,10 +92,7 @@ def write_samples(path, samples_0based: np.ndarray) -> None:
 def read_samples(path, n: int) -> FileSampleStream:
     path = Path(path)
     values = []
-    for lineno, line in enumerate(_decode(path, path.read_bytes()).splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in _text_lines(path, path.read_bytes()):
         try:
             idx = int(text)
         except ValueError:

@@ -7,8 +7,8 @@ comparator's q_hat estimates as the bucket masses. Work is
 O(sqrt(n) * polylog): every coarse phase is capped at PHASE_CAP * sqrt(n),
 and nothing in the pipeline ever scans the domain, which the query audit
 enforces. TesterConfig is the package's only configuration object: it
-holds every settable constant and its default; C_PRIME and PHASE_CAP are
-fixed.
+holds eps, the amplification trial count and the seed; the sample-size
+constants below are fixed.
 """
 from __future__ import annotations
 
@@ -33,25 +33,20 @@ STAGE_NONE = "none"
 
 C_PRIME = 8.0  # the coarse stage runs at delta = eps / C_PRIME
 PHASE_CAP = 150.0  # each coarse phase takes at most ceil(PHASE_CAP * sqrt(n))
+# Bucket scheme constant (eps' = eps / SCHEME_C), coarse phase multipliers
+# (coarse.phase_sizes) and collision sample multiplier. calibration.json
+# records the multiplier search that chose them.
+SCHEME_C = 100.0
+C1, C2, C3, C4 = 64.0, 4.0, 8.0, 3.0
 
 
 @dataclass(frozen=True)
 class TesterConfig:
-    """Full tester configuration, and the only one in the package.
-
-    C is the bucket scheme constant (eps' = eps / C). c1-c3 size the
-    coarse phases (see coarse.phase_sizes), c4 the collision sample.
-    Defaults are the calibrated constants (`idtest calibrate`).
-    """
+    """Full tester configuration, and the only one in the package."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     eps: float
-    C: float = 100.0
-    c1: float = 64.0
-    c2: float = 4.0
-    c3: float = 8.0
-    c4: float = 3.0
     trials_for_amplification: int = 1
     master_seed: int = 0
 
@@ -66,8 +61,6 @@ class TesterConfig:
                 raise BadParams(f"{f.name} must be a finite number, got {v!r}")
         if not 0.0 < self.eps <= 2.0:
             raise BadParams("eps must be in (0, 2]")
-        if min(self.c1, self.c2, self.c3, self.c4) <= 0:
-            raise BadParams("multipliers c1-c4 must be positive")
         t = self.trials_for_amplification
         if t < 1 or t % 2 == 0:
             raise BadParams("amplification trials must be odd and >= 1")
@@ -157,25 +150,22 @@ class Verdict:
 def plan_sizes(
     scheme: BucketScheme,
     delta: float,
-    config: TesterConfig,
     budget_scale: float | None,
     eps: float | None = None,
 ) -> tuple[PhaseSizes, int]:
     """Coarse phase sizes at delta, and the collision sample size S.
 
-    S is sized for eps with config.c4, or is 0 when eps is None (the
-    comparator alone, as lemma_check runs it). Raises BadParams before any
-    sampling when m1 + s1 + s2 (+ S) exceeds MAX_BUDGET or a size overflows
-    a float, as huge multipliers, a tiny delta or an uncapped plan at large
-    k make it do, and when eps is given and S < 2, too few samples for a
-    collision (a tiny c4 makes it so).
+    Both use the multipliers C1-C4. S is sized for eps, or is 0 when eps
+    is None (the comparator alone, as lemma_check runs it). Raises
+    BadParams before any sampling when m1 + s1 + s2 (+ S) exceeds
+    MAX_BUDGET or a size overflows a float, as a tiny eps or delta or an
+    uncapped plan at large k makes it do, and when eps is given and S < 2,
+    too few samples for a collision.
     """
     terms = "m1 + s1 + s2" if eps is None else "m1 + s1 + s2 + S"
     try:
-        sizes = phase_sizes(
-            scheme, delta, config.c1, config.c2, config.c3, budget_scale
-        )
-        S = 0 if eps is None else moment_sample_size(scheme.n, eps, config.c4)
+        sizes = phase_sizes(scheme, delta, C1, C2, C3, budget_scale)
+        S = 0 if eps is None else moment_sample_size(scheme.n, eps, C4)
         total = float(sizes.m1 + sizes.s1 + sizes.s2 + S)
     except OverflowError:  # a size or their sum beyond the float range
         total = math.inf
@@ -191,8 +181,8 @@ def plan_sizes(
 
 def _plan(n: int, config: TesterConfig):
     """Bucket scheme, capped coarse phase sizes and collision sample size S."""
-    scheme = build_scheme(n, config.eps, config.C)
-    sizes, S = plan_sizes(scheme, config.delta, config, PHASE_CAP, config.eps)
+    scheme = build_scheme(n, config.eps, SCHEME_C)
+    sizes, S = plan_sizes(scheme, config.delta, PHASE_CAP, config.eps)
     return scheme, sizes, S
 
 
@@ -219,7 +209,7 @@ def identity_test(
     """Decide "q = p" vs "||p - q||_1 >= eps" from samples of q.
 
     Accepts with probability >= 2/3 when q = p and rejects with
-    probability >= 2/3 when the distance promise holds, at calibrated
+    probability >= 2/3 when the distance promise holds, at the shipped
     constants. Never performs O(n) work.
     """
     if source.n != p.n:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idtest
-from idtest.cli import CONFIG_FLAGS, main
+from idtest.cli import main
 from idtest.io import PMF_MAGIC, read_pmf
 from idtest.tester import TesterConfig
 
@@ -208,46 +208,6 @@ class TestTest:
         assert out == ""
         assert "exactly one q source" in err
 
-    @pytest.mark.parametrize(
-        "text",
-        ['{"c1": "64"}', '{"recommended": {"c4": null}}', '{"C": 1e300}',
-         '{"c2": "inf"}', '{"c1": [64]}', "[1, 2]", '{"c1": 64',
-         '{"c3": null}', '{"recommended": {"gamma": 1.0}}', '{"mode": "practical"}',
-         '{"budget_scale": 150}', '{"c_1": 64}'],
-    )
-    def test_bad_calibration_file_exits_two(self, tmp_path, capsys, text):
-        pmf = make_uniform_pmf_file(tmp_path, 16)
-        cal = tmp_path / "cal.json"
-        cal.write_text(text)
-        code, out, err = run_cli(
-            capsys, "test", "--pmf", str(pmf), "--q", "self", "--eps", "0.5",
-            "--seed", "1", "--calibration", str(cal),
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error:")
-
-    def test_unknown_calibration_key_is_named(self, tmp_path, capsys):
-        pmf = make_uniform_pmf_file(tmp_path, 16)
-        cal = tmp_path / "cal.json"
-        cal.write_text('{"recommended": {"c1": 32.0, "gamma": 1.0}}')
-        code, out, err = run_cli(
-            capsys, "test", "--pmf", str(pmf), "--q", "self", "--eps", "0.5",
-            "--seed", "1", "--calibration", str(cal),
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "gamma" in err
-
-    def test_calibration_file_sets_constants(self, tmp_path, capsys):
-        pmf = make_uniform_pmf_file(tmp_path, 16)
-        cal = tmp_path / "cal.json"
-        cal.write_text('{"recommended": {"c1": 32.0, "c4": 3.5}}')
-        code, out, _ = run_cli(
-            capsys, "test", "--pmf", str(pmf), "--q", "self", "--eps", "0.5",
-            "--seed", "1", "--calibration", str(cal), "--c1", "16",
-        )
-        config = json.loads(out)["config"]
-        assert (config["c1"], config["c4"]) == (16.0, 3.5)
-
     def test_amplified_trials(self, tmp_path, capsys):
         pmf = make_uniform_pmf_file(tmp_path, 256)
         code, out, _ = run_cli(
@@ -331,17 +291,6 @@ class TestLemmaCheckCommand:
         assert payload["case2"]["rate"] >= 0.8
 
 
-class TestCalibrateCommand:
-    def test_small_search(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "calibrate", "--n", "64", "--eps", "0.5", "--trials", "40",
-            "--seed", "1", "--c4-grid", "3.0,8.0",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["recommended"]["c4"] in (3.0, 8.0)
-
-
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path, capsys):
         pmf = make_uniform_pmf_file(tmp_path, 256)
@@ -364,6 +313,18 @@ class TestDeterminism:
 
 
 TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
+EPS_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--seed", "1", "--eps"]
+# each --eps guard and the message it gives on the 16-element pmf: more
+# than MAX_K buckets, a plan above MAX_BUDGET, and TesterConfig's check
+EPS_GUARDS = {
+    "0.001": "need more than 1000000 buckets",
+    "0.0015": "m1 + s1 + s2 + S = 1.51e+07 samples",
+    "nan": "eps must be a finite number",
+    "inf": "eps must be a finite number",
+    "0": "eps must be in (0, 2]",
+    "2.5": "eps must be in (0, 2]",
+    "-1": "eps must be in (0, 2]",
+}
 
 
 @pytest.mark.parametrize(
@@ -371,64 +332,56 @@ TEST_ARGS = ["test", "--pmf", "{pmf}", "--q", "self", "--eps", "0.5"]
     [
         TEST_ARGS + ["--seed", "-1"],
         TEST_ARGS + ["--seed", "1", "--trials", "0"],
+        TEST_ARGS + ["--seed", "1", "--trials", "2"],
+        TEST_ARGS + ["--seed", "1", "--trials", "-1"],
         ["bench", "--n-grid", "256", "--eps", "0.5", "--seed", "1",
          "--trials-per-point", "0"],
         ["lemma-check", "--n", "100", "--delta", "0.4", "--trials", "0", "--seed", "1"],
-        TEST_ARGS + ["--seed", "1", "--c1", "nan"],
-        TEST_ARGS + ["--seed", "1", "--c4", "nan"],
-        TEST_ARGS + ["--seed", "1", "--c3", "inf"],
-        TEST_ARGS + ["--seed", "1", "--c4", "inf"],
-        TEST_ARGS + ["--seed", "1", "--C", "inf"],
-        TEST_ARGS + ["--seed", "1", "--C", "1e300"],
-        TEST_ARGS + ["--seed", "1", "--C", "1e12"],
-        TEST_ARGS + ["--seed", "1", "--c4", "1e12"],
-        TEST_ARGS + ["--seed", "1", "--c1", "1e300"],
-        ["bench", "--n-grid", "256", "--eps", "0.5", "--seed", "1", "--c4", "1e12"],
+        *(EPS_ARGS + [eps] for eps in EPS_GUARDS),
+        ["bench", "--n-grid", "256", "--eps", "0.0015", "--seed", "1"],
+        ["bench", "--n-grid", "256", "--eps", "0.001", "--seed", "1"],
+        ["bench", "--n-grid", "256", "--eps", "nan", "--seed", "1"],
+        ["bench", "--n-grid", "256", "--eps", "0", "--seed", "1"],
         ["oracle", "buckets", "{pmf}", "--eps", "0.5", "--C", "inf"],
         ["oracle", "buckets", "{pmf}", "--eps", "0.5", "--C", "1e12"],
         ["bench", "--n-grid", "256,x", "--eps", "0.5", "--seed", "1"],
-        ["calibrate", "--n", "16", "--seed", "1", "--c1-grid", "64,y"],
         ["lemma-check", "--n", "10000", "--delta", "0.01", "--seed", "1"],
         ["lemma-check", "--n", "400", "--delta", "1e-300", "--seed", "1"],
-        ["test", "--pmf", "{zipf}", "--q", "self", "--eps", "0.5", "--seed", "1",
-         "--c4", "0.0005"],
     ]
     + [
         ["lemma-check", "--n", str(n), "--delta", "0.1", "--trials", "3", "--seed", "1"]
         for n in range(2, 10)
     ],
-    ids=["seed-negative", "trials-zero", "trials-per-point-zero", "lemma-trials-zero",
-         "c1-nan", "c4-nan", "c3-inf", "c4-inf", "C-inf", "C-1e300", "C-1e12",
-         "c4-1e12", "c1-1e300", "bench-c4-1e12", "oracle-C-inf", "oracle-C-1e12",
-         "n-grid-not-int", "grid-not-float", "lemma-plan-over-cap",
-         "lemma-plan-overflow", "S-below-two"]
+    ids=["seed-negative", "trials-zero", "trials-two", "trials-negative",
+         "trials-per-point-zero", "lemma-trials-zero",
+         "eps-over-max-k", "eps-plan-over-cap", "eps-nan", "eps-inf",
+         "eps-zero", "eps-over-two", "eps-negative",
+         "bench-eps-plan-over-cap", "bench-eps-over-max-k", "bench-eps-nan",
+         "bench-eps-zero", "oracle-C-inf", "oracle-C-1e12",
+         "n-grid-not-int", "lemma-plan-over-cap", "lemma-plan-overflow"]
     + [f"lemma-check-n{n}" for n in range(2, 10)],
 )
 def test_bad_value_exits_two(tmp_path, capsys, argv):
-    from idtest.distributions import zipf_pmf
-    from idtest.io import write_pmf
-
     pmf = make_uniform_pmf_file(tmp_path, 16)
-    # on zipf p the coarse stage rejects, so a check after it would exit 1
-    zipf = tmp_path / "zipf.pmf"
-    write_pmf(zipf, zipf_pmf(400))
-    code, out, err = run_cli(capsys, *(a.format(pmf=pmf, zipf=zipf) for a in argv))
+    code, out, err = run_cli(capsys, *(a.format(pmf=pmf) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    if argv[:-1] == EPS_ARGS:
+        assert EPS_GUARDS[argv[-1]] in err
 
 
 REMOVED_FLAGS = (["--mode", "faithful"], ["--C-prime", "4"], ["--gamma", "1"],
-                 ["--budget-scale", "150"])
+                 ["--budget-scale", "150"], ["--C", "100"], ["--c1", "64"],
+                 ["--c2", "4"], ["--c3", "8"], ["--c4", "3"],
+                 ["--calibration", "calibration.json"])
 
 
 @pytest.mark.parametrize(
     "argv",
     [[*cmd, *flag] for cmd in (TEST_ARGS, ["bench", "--n-grid", "256", "--eps", "0.5"])
-     for flag in REMOVED_FLAGS]
-    + [["calibrate", "--n", "16", "--gamma-grid", "1,1.1"]],
-    ids=[f"{cmd}{flag[0]}" for cmd in ("test", "bench") for flag in REMOVED_FLAGS]
-    + ["calibrate--gamma-grid"],
+     for flag in REMOVED_FLAGS],
+    ids=[f"{cmd}{flag[0]}" for cmd in ("test", "bench") for flag in REMOVED_FLAGS],
 )
 def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
     pmf = make_uniform_pmf_file(tmp_path, 16)
@@ -438,9 +391,52 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_config_flags_are_the_settable_constants():
-    names = {f.name for f in dataclasses.fields(TesterConfig)}
-    assert set(CONFIG_FLAGS) == names - {"eps", "master_seed", "trials_for_amplification"}
+def test_removed_calibrate_command_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--n", "16"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+
+
+def test_config_has_exactly_three_fields():
+    names = [f.name for f in dataclasses.fields(TesterConfig)]
+    assert names == ["eps", "trials_for_amplification", "master_seed"]
+
+
+@pytest.mark.parametrize("trials", ["1", "3"])
+def test_config_echo_has_exactly_three_keys(tmp_path, capsys, trials):
+    pmf = make_uniform_pmf_file(tmp_path, 64)
+    code, out, _ = run_cli(capsys, *(a.format(pmf=pmf) for a in TEST_ARGS),
+                           "--seed", "4", "--trials", trials)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["schema_version"] == 1
+    assert payload["config"] == {"eps": 0.5, "trials_for_amplification": int(trials),
+                                 "master_seed": 4}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("idtest", "calibrate_constants"), ("idtest.harness", "calibrate_constants"),
+     ("idtest.errors", "CalibrationFailed"), ("idtest.cli", "CONFIG_FLAGS"),
+     ("idtest.cli", "cmd_calibrate")],
+)
+def test_removed_public_names_are_gone(module, name):
+    import importlib
+
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_oracle_buckets_default_C_is_the_tester_scheme(tmp_path, capsys):
+    from idtest.tester import SCHEME_C
+
+    pmf = make_uniform_pmf_file(tmp_path, 1024)
+    base = ("oracle", "buckets", str(pmf), "--eps", "0.5")
+    code, default_out, _ = run_cli(capsys, *base)
+    assert code == 0
+    assert json.loads(default_out)["C"] == SCHEME_C
+    code, explicit_out, _ = run_cli(capsys, *base, "--C", str(SCHEME_C))
+    assert (code, explicit_out) == (0, default_out)
 
 
 def pmf_text(values):
@@ -481,32 +477,28 @@ pmf_files = st.one_of(
 sample_files = st.builds(samples_text, st.integers(0, 4000), st.integers(1, 70))
 
 
-# Config values drawn by the fuzz test: the default (flag absent), a bad
-# value or a huge finite one. build_scheme caps k for a huge --C and the
-# plan check caps the closed-form budget for huge multipliers.
+# --eps values drawn by the fuzz test: valid ones, more often than not so
+# that verdicts stay common, and edge values. 0, 2.5, nan and inf fail
+# TesterConfig's checks; 0.0005 needs more than MAX_K buckets at every
+# n <= 64. A plan above MAX_BUDGET is left to test_bad_value_exits_two:
+# an eps that gives one at n = 16 plans 2-9 million samples at n <= 9.
+eps_values = st.sampled_from(["0.5", "1", "2"] * 3 + ["0", "2.5", "nan", "inf", "0.0005"])
+# --C values of the oracle fuzz: bad values and huge finite ones, for which
+# build_scheme caps k
 BAD_NUMBERS = ["0", "-1", "nan", "inf"]
 HUGE_NUMBERS = ["1e12", "1e300"]
-config_flag = st.tuples(
-    st.sampled_from(["--C", "--c1", "--c2", "--c3", "--c4"]),
-    st.sampled_from(BAD_NUMBERS + HUGE_NUMBERS),
-)
-# half of the runs keep every default, so that verdicts stay common
-config_flags = st.sampled_from([0, 0, 1, 2]).flatmap(
-    lambda k: st.lists(config_flag, min_size=k, max_size=k)
-).map(lambda pairs: [a for pair in pairs for a in pair])
 seeds = st.sampled_from(["1", "0", str(2**64), "1", "0", "-1"])
 
 
 def fuzz_test_argv(draw, d):
     argv = ["test", "--pmf", str(d / "p.pmf"),
-            "--eps", draw(st.sampled_from(["0.5", "1", "2", "0.5", "1", "2", "0", "2.5"])),
-            "--seed", draw(seeds)]
+            "--eps", draw(eps_values), "--seed", draw(seeds)]
     argv += {"self": ["--q", "self"], "pmf": ["--q-pmf", str(d / "q")],
              "file": ["--q-file", str(d / "q")]}[draw(st.sampled_from(["self", "self", "pmf", "file"]))]
     trials = draw(st.sampled_from([None, "1", "3", None, "1", "3", "0", "2"]))
     if trials is not None:
         argv += ["--trials", trials]
-    return argv + draw(config_flags)
+    return argv
 
 
 def fuzz_generate_argv(draw, d):
@@ -526,10 +518,10 @@ def fuzz_generate_argv(draw, d):
 def fuzz_bench_argv(draw, d):
     grid = draw(st.lists(st.sampled_from(["16", "64", "2", "1", "0", "-4", "x", " "]),
                          min_size=1, max_size=2))
-    return ["bench", "--n-grid=" + ",".join(grid), "--eps",
-            draw(st.sampled_from(["0.5", "0", "nan"])), "--seed", draw(seeds),
+    return ["bench", "--n-grid=" + ",".join(grid), "--eps", draw(eps_values),
+            "--seed", draw(seeds),
             "--trials-per-point", draw(st.sampled_from(["1", "0", "-1"])),
-            "--no-timing"] + draw(config_flags)
+            "--no-timing"]
 
 
 def fuzz_lemma_argv(draw, d):
@@ -552,27 +544,12 @@ def fuzz_oracle_argv(draw, d):
     return argv + ([] if c is None else ["--C", c])
 
 
-def fuzz_calibrate_argv(draw, d):
-    # a valid search runs only at n = 16 with 30 trials, which is quick
-    argv = ["calibrate", "--n", draw(st.sampled_from(["16", "16", "1", "0", "-1"])),
-            "--eps", draw(st.sampled_from(["0.5", "0.5", "0", "nan"])),
-            "--trials", draw(st.sampled_from(["30", "30", "29", "0", "-1"])),
-            "--seed", draw(seeds)]
-    flag = draw(st.sampled_from([None, "--c1-grid", "--c2-grid", "--c3-grid",
-                                 "--c4-grid"]))
-    if flag is not None:
-        value = draw(st.sampled_from(["3", "nan", "inf", "0", "-1", "x", "", ",", "3,y", "-1,3"]))
-        argv.append(f"{flag}={value}")
-    return argv
-
-
 FUZZ_ARGV = {
     "test": fuzz_test_argv,
     "generate": fuzz_generate_argv,
     "bench": fuzz_bench_argv,
     "lemma-check": fuzz_lemma_argv,
     "oracle": fuzz_oracle_argv,
-    "calibrate": fuzz_calibrate_argv,
 }
 
 

@@ -36,18 +36,20 @@ from idtest.distributions import (
 from idtest.errors import BadParams, InvariantViolated, SampleExhausted
 from idtest.harness import LEMMA_SCHEME_C, LEMMA_SCHEME_EPS
 from idtest.rng import TAG_PROBE, TAG_TRIAL, seed_sequence, spawn_rng
-from idtest.tester import PHASE_CAP, QueryCounter, TesterConfig, identity_test, query_audit
+from idtest.tester import (
+    C1,
+    C2,
+    C3,
+    PHASE_CAP,
+    QueryCounter,
+    TesterConfig,
+    identity_test,
+    query_audit,
+)
 
 
-def sizes_at(
-    scheme,
-    delta,
-    c1=TesterConfig.c1,
-    c2=TesterConfig.c2,
-    c3=TesterConfig.c3,
-    budget_scale=PHASE_CAP,
-):
-    """Phase sizes, at TesterConfig's defaults and the tester's cap unless given."""
+def sizes_at(scheme, delta, c1=C1, c2=C2, c3=C3, budget_scale=PHASE_CAP):
+    """Phase sizes, at the tester's multipliers and cap unless given."""
     return phase_sizes(scheme, delta, c1, c2, c3, budget_scale)
 
 
@@ -77,8 +79,6 @@ class TestPhaseSizes:
     def test_config_validation(self):
         with pytest.raises(BadParams):
             TesterConfig(eps=0.0)
-        with pytest.raises(BadParams):
-            TesterConfig(eps=0.5, c1=0.0)
 
 
 # Block-boundary sizes for the streamed phases: one probe, one short of a

@@ -1,17 +1,20 @@
-"""Tests for the statistical harness: trials, comparator checks, scaling,
-and calibration."""
+"""Tests for the statistical harness: trials, comparator checks and
+scaling."""
+
+import os
 
 import numpy as np
 import pytest
 
+from idtest import harness
 from idtest.bucketing import MAX_BUDGET, build_scheme, exact_bucket_masses
+from idtest.coarse import phase_sizes
 from idtest.distributions import zipf_pmf
-from idtest.errors import BadParams, CalibrationFailed, InvariantViolated
+from idtest.errors import BadParams, InvariantViolated
 from idtest.harness import (
     LEMMA_SCHEME_C,
     LEMMA_SCHEME_EPS,
     baseline_identity_test,
-    calibrate_constants,
     fit_loglog_slope,
     lemma_check,
     make_instance,
@@ -22,7 +25,7 @@ from idtest.harness import (
 )
 from idtest.rng import TAG_TRIAL, seed_sequence
 from idtest.distributions import AliasSampler
-from idtest.tester import TesterConfig, plan_sizes
+from idtest.tester import C1, C2, C3, PHASE_CAP, TesterConfig, plan_sizes
 
 
 class TestWilsonInterval:
@@ -74,6 +77,33 @@ class TestRunTrials:
         seq = run_trials(inst, cfg, trials=32, master_seed=6)
         par = run_trials(inst, cfg, trials=32, master_seed=6, jobs=2)
         assert seq == par
+
+    @pytest.mark.parametrize("cpus, workers", [(4, 4), (64, 32), (None, 1)])
+    def test_workers_capped_by_chunks_and_cpus(self, monkeypatch, cpus, workers):
+        # a pool starts all of max_workers at once, so a huge jobs must not
+        # reach it; an in-process pool records the request and starts nothing
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        inst = make_instance("identical-uniform", 128, seed=0)
+        cfg = TesterConfig(eps=0.5)
+        par = run_trials(inst, cfg, trials=32, master_seed=6, jobs=10_000)
+        assert requested == [workers]
+        assert par == run_trials(inst, cfg, trials=32, master_seed=6)
 
     def test_report_fields(self):
         inst = make_instance("random-half", 64, seed=1)
@@ -157,13 +187,20 @@ class TestLemmaCheck:
         with pytest.raises(BadParams, match="trials"):
             lemma_check(100, 0.4, trials=0)
 
-    def test_reads_only_c1_to_c3_uncapped(self):
-        # another eps and c4 leave the comparator runs unchanged
-        other = TesterConfig(eps=0.5, c4=9.0)
-        base = lemma_check(100, 0.4, trials=6, include_gap=False)
-        assert lemma_check(100, 0.4, trials=6, include_gap=False, config=other) == base
-        fewer = TesterConfig(eps=0.5, c1=1.0, c2=0.5, c3=0.1)
-        assert lemma_check(100, 0.4, trials=6, include_gap=False, config=fewer) != base
+    def test_runs_the_tester_multipliers_uncapped(self, monkeypatch):
+        seen = []
+        compare = harness.coarse_compare
+
+        def spy(source, p, scheme, sizes, rng):
+            seen.append(sizes)
+            return compare(source, p, scheme, sizes, rng)
+
+        monkeypatch.setattr(harness, "coarse_compare", spy)
+        lemma_check(100, 0.4, trials=6, include_gap=False)
+        scheme = build_scheme(100, LEMMA_SCHEME_EPS, LEMMA_SCHEME_C)
+        want = phase_sizes(scheme, 0.4, C1, C2, C3, None)
+        assert want != phase_sizes(scheme, 0.4, C1, C2, C3, PHASE_CAP)
+        assert len(seen) == 12 and all(sizes == want for sizes in seen)
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, 2.5, float("nan")])
     def test_delta_outside_range_is_bad_params(self, delta):
@@ -181,8 +218,7 @@ class TestLemmaCheck:
     def test_largest_plan_in_use_fits_the_cap(self):
         # n = 400, delta = 0.1: acceptance criterion 3 and comparator-400
         scheme = build_scheme(400, LEMMA_SCHEME_EPS, LEMMA_SCHEME_C)
-        config = TesterConfig(eps=LEMMA_SCHEME_EPS)
-        sizes, S = plan_sizes(scheme, 0.1, config, None)
+        sizes, S = plan_sizes(scheme, 0.1, None)
         total = sizes.m1 + sizes.s1 + sizes.s2
         assert (total, S) == (1_677_343, 0)
         assert total <= MAX_BUDGET
@@ -241,55 +277,3 @@ class TestScalingExperiment:
         assert fit_loglog_slope(ns, [n for n in ns]) == pytest.approx(1.0)
         assert fit_loglog_slope(ns, [n**0.5 for n in ns]) == pytest.approx(0.5)
         assert fit_loglog_slope([64], [10]) is None
-
-
-class TestCalibrateConstants:
-    def test_passing_defaults_returned_unchanged(self):
-        # a trivially satisfiable target keeps the defaults
-        result = calibrate_constants(
-            target_rates={"accept_identical": 0.0},
-            search_space={"c4": [TesterConfig(eps=0.5).c4, 8.0]},
-            n=64,
-            trials=30,
-            master_seed=0,
-        )
-        assert result["recommended"]["c4"] == TesterConfig(eps=0.5).c4
-
-    def test_smallest_passing_c4(self):
-        # defaults excluded from the space: the cheapest passing point wins
-        result = calibrate_constants(
-            target_rates={"accept_identical": 0.0},
-            search_space={"c4": [1.0, 2.0, 4.0, 8.0]},
-            n=64,
-            trials=30,
-            master_seed=0,
-        )
-        assert result["recommended"]["c4"] == 1.0
-
-    def test_empty_space_fails(self):
-        with pytest.raises(CalibrationFailed):
-            calibrate_constants(
-                target_rates={"accept_identical": 0.0},
-                search_space={"c4": []},
-                n=64,
-                trials=30,
-            )
-
-    def test_unknown_knob_raises(self):
-        # a knob outside CALIBRATION_KNOBS would never vary: refuse it by name
-        with pytest.raises(BadParams, match="unknown key.*gamma"):
-            calibrate_constants(
-                target_rates={"accept_identical": 0.0},
-                search_space={"gamma": [0.5, 2.0]},
-                n=64,
-                trials=30,
-            )
-
-    def test_unreachable_target_fails(self):
-        with pytest.raises(CalibrationFailed):
-            calibrate_constants(
-                target_rates={"reject_random_half": 1.1},  # impossible
-                search_space={"c4": [1.0]},
-                n=64,
-                trials=30,
-            )

@@ -4,13 +4,15 @@ import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idtest.bucketing import MAX_BUDGET
+from idtest.bucketing import MAX_BUDGET, build_scheme
+from idtest.coarse import phase_sizes
 from idtest.distributions import (
     AliasSampler,
     perturbed_pmf,
@@ -24,9 +26,17 @@ from idtest.errors import (
     DomainMismatch,
     InvariantViolated,
 )
+from idtest import tester
+from idtest.moment import moment_sample_size
 from idtest.rng import TAG_TRIAL, seed_sequence
 from idtest.tester import (
+    C1,
+    C2,
+    C3,
+    C4,
     C_PRIME,
+    PHASE_CAP,
+    SCHEME_C,
     DECISION_ACCEPT,
     DECISION_REJECT,
     STAGE_COARSE,
@@ -63,8 +73,7 @@ class TestConfig:
         "field,value",
         [
             (field, value)
-            for field in ("eps", "C", "c1", "c2", "c3", "c4",
-                          "trials_for_amplification", "master_seed")
+            for field in ("eps", "trials_for_amplification", "master_seed")
             for value in (float("nan"), float("inf"), "64", None)
         ],
     )
@@ -72,16 +81,40 @@ class TestConfig:
         with pytest.raises(BadParams, match=field):
             TesterConfig(**{"eps": 0.5, field: value})
 
-    def test_multipliers_must_be_positive(self):
-        for field in ("c1", "c2", "c3", "c4"):
-            with pytest.raises(BadParams):
-                TesterConfig(eps=0.5, **{field: 0.0})
-
     def test_negative_master_seed_is_bad_params(self):
         with pytest.raises(BadParams, match="master_seed"):
             TesterConfig(eps=0.5, master_seed=-1)
         with pytest.raises(BadParams, match="master_seed"):
             dataclasses.replace(TesterConfig(eps=0.5), master_seed=-1)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 2.0000001, 1e9])
+    def test_eps_outside_range_is_bad_params(self, eps):
+        with pytest.raises(BadParams, match=r"eps must be in \(0, 2\]"):
+            TesterConfig(eps=eps)
+
+    @pytest.mark.parametrize("trials", [0, -1, 2, 4])
+    def test_even_or_non_positive_trials_is_bad_params(self, trials):
+        with pytest.raises(BadParams, match="amplification trials"):
+            TesterConfig(eps=0.5, trials_for_amplification=trials)
+
+    @pytest.mark.parametrize("field", ["eps", "trials_for_amplification", "master_seed"])
+    def test_bool_is_bad_params(self, field):
+        with pytest.raises(BadParams, match=field):
+            TesterConfig(**{"eps": 0.5, field: True})
+
+    @pytest.mark.parametrize("field", ["C", "c1", "c2", "c3", "c4"])
+    def test_removed_multiplier_fields_are_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            TesterConfig(eps=0.5, **{field: 1.0})
+
+    # calibration.json is the last run of the multiplier search; the
+    # shipped multipliers are its recommendation
+    CALIBRATION = Path(__file__).resolve().parent.parent / "calibration.json"
+
+    @pytest.mark.parametrize("name, value", [("c1", C1), ("c2", C2), ("c3", C3), ("c4", C4)])
+    def test_shipped_multiplier_is_the_calibration_record(self, name, value):
+        record = json.loads(self.CALIBRATION.read_text())
+        assert record["recommended"][name] == value
 
 
 class TestIdentityTest:
@@ -205,17 +238,20 @@ class TestIdentityTest:
     # seeded runs, decisions and diagnostics included, stay byte-identical.
     # Derivation: the tester that still had the config fields C_prime,
     # gamma, budget_scale and mode matched the digests pinned before; its
-    # payloads with those four keys removed from "config" hash to these.
+    # payloads with those four keys removed from "config" gave the next
+    # digests. The tester that then still had the config fields C and
+    # c1-c4 matched those; its payloads with these five keys removed from
+    # "config" hash to the values below.
     GOLDEN_JSON = {
-        ("uniform", 1): "a8b419a67791c037f4b22ec4e70215e3001a3b29bbc37aa85e5b023b2d9bc71d",
-        ("uniform", 2): "cefea5bbe77ec1f5ec1a22878cc257e66a83be156468fef583680b1a5dec9e08",
-        ("uniform", 3): "730365441072a0233a6a7274257eabb91051d13acb198ff7e7314831c37982a6",
-        ("zipf", 1): "693033b4f2301d5b15a8ef029a2c944d78855f742db73c7dd67c698797033c8e",
-        ("zipf", 2): "a6a5845e5f7e067ea453ddd55046f870f258f33c59ac77444a1fc211a564b351",
-        ("zipf", 3): "42031a75d013aaf102f51c2355a0f7b9d0246c2c8b2889c0e43ddeab8033b0cf",
-        ("perturbed", 1): "ef9a0c533656dd13d64dcd068727da9e57a763018ce9bc8d008e2d574e99f8bd",
-        ("perturbed", 2): "f7f0d63ec57a177e5fcdebd567e203f8321d0cc1e24a5af616a96d3d7385cf63",
-        ("perturbed", 3): "37011614d1438e68164927255c787aa74f4fa2503d26df92a3d16868b94ccc31",
+        ("uniform", 1): "c5895b726832de0b809d474c336d3c5455f472782f952c23086d88e2ed3f071d",
+        ("uniform", 2): "abe3cf0360d3b62956b27761ed6ab4776d10d3de5a8a499dc06ab8ca46a73d1e",
+        ("uniform", 3): "edf20d100eccba285c3910f9feb61c8713a22a02288a4175085775006c6ffe75",
+        ("zipf", 1): "2eeae7ef1991a1db4f35ae8e05dbd901d0ab2cec832da7538dd4990a85ff5da4",
+        ("zipf", 2): "50d3938486f49f5eb764341b30716d62d41f56f82046d33eb068083be7e3ddfb",
+        ("zipf", 3): "0075529626cd452a8f057215a6f2dad8d73a54f4268ef545af14f1646decd06b",
+        ("perturbed", 1): "45ad1d6182081d582b0824e4eb961b0785b9fed31d28af5c981fecc187156b4d",
+        ("perturbed", 2): "93dc0004139f462332420721bad74206a045584e6cb109c46401bf855392cd1b",
+        ("perturbed", 3): "5a3793fdcd9eca16299d054d884d287d0e7f481f3cd6a0be4ea50a20b0c94d32",
     }
 
     @pytest.mark.parametrize("kind, seed", sorted(GOLDEN_JSON))
@@ -329,15 +365,11 @@ class TestQueryAudit:
         ]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [{"c4": 1e12}, {"c1": 1e300}],
-        ids=["c4-1e12", "c1-1e300"],
-    )
-    def test_budget_over_cap_is_bad_params(self, overrides):
-        # refused before any sample is drawn, not by a memory error
+    def test_budget_over_cap_is_bad_params(self):
+        # eps = 0.0015 plans 1.51e7 at n = 16: refused before any sample is
+        # drawn, not by a memory error
         p = uniform_pmf(16)
-        cfg = TesterConfig(eps=0.5, **overrides)
+        cfg = TesterConfig(eps=0.0015)
         stream = AliasSampler(p, 1)
         with pytest.raises(BadParams, match=r"m1 \+ s1 \+ s2 \+ S"):
             identity_test(p, stream, cfg)
@@ -346,17 +378,33 @@ class TestQueryAudit:
             closed_form_budget(16, cfg)
 
     @pytest.mark.parametrize("pmf", [uniform_pmf, zipf_pmf])
-    def test_collision_sample_below_two_is_bad_params(self, pmf):
-        # S = ceil(0.0005 * 20 * ln 401 / 0.25) = 1: refused before any
-        # sample is drawn, whether or not p would pass the coarse stage
+    def test_collision_sample_below_two_is_bad_params(self, pmf, monkeypatch):
+        # no eps in (0, 2] gives S < 2 at the shipped C4, so the guard is
+        # reached with a smaller one: S = ceil(0.0005 * 20 * ln 401 / 0.25)
+        # = 1 is refused before any sample is drawn, whether or not p would
+        # pass the coarse stage
+        monkeypatch.setattr(tester, "C4", 0.0005)
         p = pmf(400)
-        cfg = TesterConfig(eps=0.5, c4=0.0005)
+        cfg = TesterConfig(eps=0.5)
         stream = AliasSampler(p, 1)
         with pytest.raises(BadParams, match="S = 1"):
             identity_test(p, stream, cfg)
         assert stream.draws == 0
         with pytest.raises(BadParams, match="S = 1"):
             closed_form_budget(400, cfg)
+
+    @pytest.mark.parametrize("n, eps", [(2, 2.0), (16, 0.5), (400, 0.5), (4096, 1.0), (2**20, 0.5)])
+    def test_plan_uses_the_shipped_constants(self, n, eps):
+        cfg = TesterConfig(eps=eps)
+        sizes = phase_sizes(build_scheme(n, eps, SCHEME_C), cfg.delta, C1, C2, C3, PHASE_CAP)
+        budget = closed_form_budget(n, cfg)
+        assert (budget["m1"], budget["s1"], budget["s2"]) == (sizes.m1, sizes.s1, sizes.s2)
+        assert budget["S"] == moment_sample_size(n, eps, C4)
+
+    def test_smallest_collision_sample_is_two(self):
+        # S grows with n and shrinks with eps, and n >= 2, eps <= 2: the
+        # smallest plan has S = ceil(3 * sqrt(2) * ln 3 / 4) = 2
+        assert closed_form_budget(2, TesterConfig(eps=2.0))["S"] == 2
 
     def test_largest_plan_in_use_fits_the_cap(self):
         # one n = 2^20 run at eps = 0.5 and the defaults, as in single-1m
