@@ -135,7 +135,7 @@ def cmd_bench(args) -> int:
             f" slope_baseline={result['slope_baseline']:.4f}{slope_wall} seed={seed}"
         )
     else:
-        lines.append(f"# singleton grid, no fit; seed={seed}")
+        lines.append(f"# one distinct n, no fit; seed={seed}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:

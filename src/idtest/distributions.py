@@ -4,7 +4,8 @@ The known distribution p is a dense probability vector with O(1) indexed
 queries. The unknown distribution q is only ever reached through a
 SampleStream, which yields i.i.d. indices and never exposes probabilities.
 Synthetic q sources are backed by an alias table so a draw is O(1) and the
-harness cost never masks the tester cost.
+harness cost never masks the tester cost. A uniform q (every entry on one
+side of 1/n) needs no table: its draw is the uniform index alone.
 """
 from __future__ import annotations
 
@@ -109,9 +110,32 @@ class SampleStream(ABC):
 # the same 16 bytes, so it costs one gather and one cache line, not two.
 _ALIAS_ROW = np.dtype([("accept", "<f8"), ("alias", "<i8")])
 
-# Rows written and classified per block by _build_alias_tables: a block of
-# 2^15 rows (512 KB) and its temporaries stay in cache.
+# Rows written per block by _build_alias_tables and classified per block by
+# _one_sided: a block of 2^15 rows (512 KB) and its temporaries stay in cache.
 _FILL_BLOCK = 2**15
+
+# The table of a pmf whose entries all fall on one side of 1/n. Its full
+# form is the identity table (accept 1.0, alias i), under which every draw
+# keeps its index; zero rows stand for it, as a real table has n >= 1 rows.
+_IDENTITY = np.empty(0, dtype=_ALIAS_ROW)
+
+
+def _one_sided(probs: np.ndarray) -> bool:
+    """True when probs * n < 1 holds for every entry or for none.
+
+    These pmfs, the uniform one whichever way 1/n rounds, have the identity
+    as alias table. The count runs in blocks of _FILL_BLOCK with no O(n)
+    temporary and stops at the first block that shows both kinds, so a
+    non-uniform pmf usually costs one block.
+    """
+    n = probs.shape[0]
+    n_small = 0
+    for lo in range(0, n, _FILL_BLOCK):
+        hi = min(lo + _FILL_BLOCK, n)
+        n_small += int(np.count_nonzero(probs[lo:hi] * n < 1.0))
+        if 0 < n_small < hi:
+            return False
+    return True
 
 
 def _build_alias_tables(probs: np.ndarray) -> np.ndarray:
@@ -119,25 +143,22 @@ def _build_alias_tables(probs: np.ndarray) -> np.ndarray:
 
     Row i is (accept[i], alias[i]): a draw of i keeps i when its
     acceptance coin falls below accept[i] and returns alias[i] otherwise.
-    One pass over blocks of _FILL_BLOCK rows writes the initial rows
-    (accept 1.0, alias to itself) and counts the small entries (scaled =
-    probs * n < 1), so a pmf whose entries all fall on one side, such as
-    the uniform one, builds with no O(n) temporary. Only when both kinds
-    exist is scaled built in full: the Python pairing loop then runs on
-    plain lists and floats, and its results are written back with one
-    fancy assignment per column. An entry left over when either side runs
-    dry is 1.0 up to rounding and keeps its initial row.
+    Blocks of _FILL_BLOCK rows are first written as the identity (accept
+    1.0, alias to itself), with no O(n) temporary, and a one-sided pmf
+    (see _one_sided) keeps that table. Otherwise the small (scaled =
+    probs * n < 1) and large entries are paired: the Python pairing loop
+    runs on plain lists and floats, and its results are written back with
+    one fancy assignment per column. An entry left over when either side
+    runs dry is 1.0 up to rounding and keeps its initial row.
     """
     n = probs.shape[0]
     table = np.empty(n, dtype=_ALIAS_ROW)
     accept, alias = table["accept"], table["alias"]
-    n_small = 0
     for lo in range(0, n, _FILL_BLOCK):
         hi = min(lo + _FILL_BLOCK, n)
         accept[lo:hi] = 1.0
         alias[lo:hi] = np.arange(lo, hi)
-        n_small += int(np.count_nonzero(probs[lo:hi] * n < 1.0))
-    if n_small == 0 or n_small == n:
+    if _one_sided(probs):
         return table
     scaled = probs * n
     is_small = scaled < 1.0
@@ -173,6 +194,12 @@ class AliasSampler(SampleStream):
     cache and TLB misses per draw. Index and acceptance randomness come
     from two independent sub-streams of the seed so that draw sequences
     are invariant under batching.
+
+    A one-sided pmf (see _one_sided), such as the uniform one, would build
+    the identity table, under which every acceptance coin falls below 1.0
+    and every draw keeps its index. Such a sampler holds the zero-row
+    _IDENTITY instead of n rows and returns the index draws alone: the
+    same draws, bit for bit, without the table, the coins or the gather.
     """
 
     def __init__(self, pmf: ProbabilityVector, seed, _tables=None):
@@ -180,7 +207,8 @@ class AliasSampler(SampleStream):
         self.n = pmf.n
         self._pmf = pmf
         if _tables is None:
-            _tables = _build_alias_tables(pmf.probs)
+            probs = pmf.probs
+            _tables = _IDENTITY if _one_sided(probs) else _build_alias_tables(probs)
         self._table = _tables
         ss = seed if isinstance(seed, np.random.SeedSequence) else seed_sequence(seed)
         idx_ss, acc_ss = ss.spawn(2)
@@ -200,11 +228,12 @@ class AliasSampler(SampleStream):
         u *= self.n
         idx = u.astype(np.int64)
         np.minimum(idx, self.n - 1, out=idx)
+        self._draws += m
+        if not self._table.size:  # identity table: every draw keeps idx
+            return idx
         v = self._acc_rng.random(out=u)  # u is spent; reuse its buffer
         rows = self._table[idx]
-        out = np.where(v < rows["accept"], idx, rows["alias"])
-        self._draws += m
-        return out
+        return np.where(v < rows["accept"], idx, rows["alias"])
 
 
 class FileSampleStream(SampleStream):

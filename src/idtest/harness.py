@@ -396,7 +396,8 @@ def baseline_identity_test(
 
 
 def fit_loglog_slope(ns, costs) -> float | None:
-    if len(ns) < 2:
+    """Least-squares slope of log(cost) on log(n); None below two distinct n."""
+    if len(set(ns)) < 2:
         return None
     return float(np.polyfit(np.log(np.asarray(ns, float)),
                             np.log(np.asarray(costs, float)), 1)[0])
@@ -413,6 +414,7 @@ def scaling_experiment(
     The efficient tester's fitted log-log slope lands near 0.5 (plus log
     drift); the baseline's near 1 because its O(n) scan dominates.
     slope_wall fits the tester's wall time per run (wall_ms) the same way.
+    A grid with fewer than two distinct n gets no fit: each slope is None.
     """
     n_grid = [int(n) for n in n_grid]
     if not n_grid:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bucketing import BucketScheme, bucket_indices
+from .bucketing import _BLOCK, BucketScheme, bucket_indices
 from .distributions import SampleStream
 from .errors import BadParams, DimensionMismatch, InvariantViolated
 
@@ -42,15 +42,22 @@ def collect_counts(
 ) -> CollisionStats:
     """Draw exactly S samples and build the sparse collision statistic.
 
-    One p-query per distinct sampled index.
+    One p-query per distinct sampled index. The samples are drawn in blocks
+    of _BLOCK and narrowed block by block, so the sampler's temporaries stay
+    O(_BLOCK) rather than O(S); a SampleStream yields the same draws however
+    they are batched, so the result does not depend on the block size. The
+    blocks and the joined keys (4 bytes a sample each) allocate no more at
+    once than np.unique does next with the keys and their sorted copy.
     """
     if S < 2:
         raise BadParams("S must be >= 2")
-    draws = source.draw_many(S)
     # indices below n <= 2^31 fit int32, which halves the sort's bytes (the
     # rule QueryCounter.distinct_count uses); larger domains keep int64
-    if source.n <= 2**31:
-        draws = draws.astype(np.int32)
+    dtype = np.int32 if source.n <= 2**31 else np.int64
+    draws = np.concatenate([
+        source.draw_many(min(_BLOCK, S - a)).astype(dtype, copy=False)
+        for a in range(0, S, _BLOCK)
+    ])
     distinct, occ = np.unique(draws, return_counts=True)
     if distinct.size > S:  # sparsity: memory tracks S, not n
         raise InvariantViolated(f"{distinct.size} distinct indices from {S} samples")

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,17 @@ class TestBench:
         )
         assert code == 0
         assert "no fit" in out.strip().splitlines()[-1]
+
+    def test_repeated_n_grid_no_fit_no_warning(self, capsys):
+        # two points at one n fix no slope; polyfit on them warns RankWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(
+                capsys, "bench", "--n-grid", "16,16", "--eps", "0.5",
+                "--seed", "1", "--no-timing",
+            )
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "# one distinct n, no fit; seed=1"
 
     def test_empty_grid_exits_two(self, capsys):
         code, _, err = run_cli(

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idtest import distributions
 from idtest.distributions import (
     AliasSampler,
+    _ALIAS_ROW,
     _FILL_BLOCK,
     _build_alias_tables,
     FileSampleStream,
@@ -247,13 +249,65 @@ class TestAliasSampler:
                 lambda: perturbed_pmf(4096, 0.5, 3),
                 "6099a024ab76039d2869894fd972ce3f6e4b4e64c44aa7d7a6e18ef28be19bbd",
             ),
+            # the uniform digests were taken with the full identity table
+            (
+                lambda: uniform_pmf(4096),
+                "a00301a527c80ac4d96cc23f0efc4efb2dcd09dc929f5e336ad7d02e38d47229",
+            ),
+            (
+                lambda: uniform_pmf(UNIFORM_ROUNDS_LOW[0]),
+                "d6b76cc1654c0268714b0141a1a5be0e1a6bc0379a28a046cc32428150c6655b",
+            ),
         ],
-        ids=["zipf-4096", "perturbed-4096"],
+        ids=["zipf-4096", "perturbed-4096", "uniform-4096", "uniform-49"],
     )
     def test_seeded_draws_pinned(self, make_pmf, digest):
         # SHA-256 of the first 10^4 draws as built by the scalar Vose loop
         draws = AliasSampler(make_pmf(), 7).draw_many(10**4)
         assert hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [2, 4096, UNIFORM_ROUNDS_LOW[0], 1000])
+    def test_uniform_sampler_holds_no_table(self, n, monkeypatch):
+        s = AliasSampler(uniform_pmf(n), seed=0)
+        assert s._table.size == 0 and s._table.dtype == _ALIAS_ROW
+
+        def no_build(*_):
+            raise AssertionError("spawn rebuilt the table")
+
+        monkeypatch.setattr(distributions, "_one_sided", no_build)
+        monkeypatch.setattr(distributions, "_build_alias_tables", no_build)
+        child = s.spawn(seed=1)
+        assert child._table is s._table  # passed along, not None
+
+    @pytest.mark.parametrize("n", [2, 4096, UNIFORM_ROUNDS_LOW[0], 1000])
+    def test_uniform_draws_equal_identity_table(self, n):
+        p = uniform_pmf(n)
+        table = _build_alias_tables(p.probs)
+        assert table.size == n
+
+        def pair(seed):
+            return AliasSampler(p, seed), AliasSampler(p, seed, _tables=table)
+
+        for a, b in (pair(5), pair(5)[::-1]):
+            got = np.concatenate([a.draw_many(10), a.draw_many(7), a.draw_many(3)])
+            assert np.array_equal(got, b.draw_many(20))
+        a, b = pair(5)
+        a.draw_many(4)
+        a, b = a.spawn(9), b.spawn(9)
+        assert b._table is table
+        assert np.array_equal(a.draw_many(10**4), b.draw_many(10**4))
+
+    @pytest.mark.parametrize("n", [4096, UNIFORM_ROUNDS_LOW[0]])
+    def test_near_uniform_builds_full_table(self, n):
+        # two entries moved a few ulps to opposite sides of 1/n: not one-sided
+        probs = np.full(n, 1.0 / n)
+        for i, toward in ((0, 0.0), (1, 1.0)):
+            for _ in range(4):
+                probs[i] = np.nextafter(probs[i], toward)
+        assert probs[0] * n < 1.0 <= probs[1] * n
+        s = AliasSampler(validate_pmf(probs), seed=0)
+        assert s._table.size == n
+        assert s._table.tobytes() == _build_alias_tables(probs).tobytes()
 
     def test_spawn_shares_tables_fresh_counter(self):
         s = AliasSampler(zipf_pmf(30), seed=0)

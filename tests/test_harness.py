@@ -277,3 +277,4 @@ class TestScalingExperiment:
         assert fit_loglog_slope(ns, [n for n in ns]) == pytest.approx(1.0)
         assert fit_loglog_slope(ns, [n**0.5 for n in ns]) == pytest.approx(0.5)
         assert fit_loglog_slope([64], [10]) is None
+        assert fit_loglog_slope([64, 64], [10, 12]) is None

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from idtest.bucketing import bucket_indices, build_scheme, exact_bucket_masses
+from idtest.bucketing import _BLOCK, bucket_indices, build_scheme, exact_bucket_masses
 from idtest.distributions import (
     AliasSampler,
     FileSampleStream,
@@ -95,6 +95,25 @@ class TestCollectCounts:
         )
         np.testing.assert_array_equal(stats.per_bucket_stat, expected)
         assert counter.total == distinct.size <= 500  # sparse: never O(n)
+
+    @pytest.mark.parametrize("S", [_BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+    def test_blocked_draws_equal_one_batch(self, S):
+        # collect_counts draws in blocks of _BLOCK; the stream is batch
+        # invariant, so the statistic and the queries equal one batch's
+        p = zipf_pmf(1000)
+        s = build_scheme(1000, 2.0, 1.0)
+        counter = QueryCounter(p)
+        stream = AliasSampler(p, 3)
+        stats = collect_counts(stream, counter, s, S)
+        assert stream.draws == S
+        distinct, occ = np.unique(AliasSampler(p, 3).draw_many(S), return_counts=True)
+        expected = np.bincount(
+            bucket_indices(s, p.lookup(distinct)),
+            weights=occ * (occ - 1) / 2.0,
+            minlength=s.k + 1,
+        )
+        assert stats.per_bucket_stat.tobytes() == expected.tobytes()
+        assert counter.total == counter.distinct_count == distinct.size
 
     def test_one_query_per_distinct_index(self):
         p = uniform_pmf(30)
