@@ -85,12 +85,13 @@ class BucketScheme:
 MAX_K = 10**6
 
 # Largest closed-form work budget m1 + s1 + s2 + S that tester._plan accepts.
-# A run holds its samples and queried indices, about 20-23 bytes per unit of
+# A run holds its samples and queried indices, about 17-21 bytes per unit of
 # budget at peak RSS beyond the interpreter and the pmf, so this bounds a run
-# near 230 MB plus its pmf. Measured on uniform p = q: 9.2 million at n = 9
-# peaked 188 MB over the 30 MB of an idle interpreter, 8.5 million at
-# n = 2^22 peaked 195 MB over that and the 32 MB pmf. The largest plan in
-# use, n = 2^20 at eps = 0.5 and the default constants, is 534,331.
+# near 210 MB plus its pmf. Measured on uniform p = q (`idtest test --q self
+# --seed 1`): 9.2 million at n = 9, eps = 0.0015 peaked 152 MB over the 30 MB
+# of an idle interpreter, 8.5 million at n = 2^22, eps = 0.11 peaked 169 MB
+# over that and the 32 MB pmf. The largest plan in use, n = 2^20 at
+# eps = 0.5 and the default constants, is 534,331.
 MAX_BUDGET = 10**7
 
 

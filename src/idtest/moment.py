@@ -6,6 +6,10 @@ sample pairs colliding on the same element inside bucket j has expectation
 C(S,2) * sum_{i in R_j} q_i^2, which for q matching p within the bucket is
 at most C(S,2) * mass_j * upper_j. Any bucket whose collision count
 strictly exceeds that bound with (1 + eps/4) slack is rejected.
+
+Only indices drawn at least twice add to that count: an index drawn once
+contributes C(1, 2) = 0. So p is queried, and a bucket looked up, only at
+the repeated indices, typically a small share of the distinct ones.
 """
 from __future__ import annotations
 
@@ -24,8 +28,10 @@ class CollisionStats:
     """Per-bucket collision statistic of S samples.
 
     per_bucket_stat[j] = sum over sampled i in bucket j of C(s_i, 2), with
-    s_i the occurrences of i. The s_i (O(S) memory, never O(n)) are not
-    kept; the query audit counts distinct p-queries by one sort per run.
+    s_i the occurrences of i. Indices with s_i = 1 add exactly 0, so the sum
+    runs over the indices with s_i >= 2 alone. The s_i (O(S) memory, never
+    O(n)) are not kept; the query audit counts distinct p-queries by one
+    sort per run.
     """
 
     total_samples: int
@@ -42,12 +48,16 @@ def collect_counts(
 ) -> CollisionStats:
     """Draw exactly S samples and build the sparse collision statistic.
 
-    One p-query per distinct sampled index. The samples are drawn in blocks
-    of _BLOCK and narrowed block by block, so the sampler's temporaries stay
-    O(_BLOCK) rather than O(S); a SampleStream yields the same draws however
-    they are batched, so the result does not depend on the block size. The
-    blocks and the joined keys (4 bytes a sample each) allocate no more at
-    once than np.unique does next with the keys and their sorted copy.
+    One p-query per index drawn at least twice, and none for an index drawn
+    once, whose C(1, 2) = 0 leaves its bucket's statistic unchanged: adding
+    +0.0 changes no float, and bincount adds the remaining weights in the
+    same ascending index order. The samples are drawn in blocks of _BLOCK
+    and narrowed block by block, so the sampler's temporaries stay O(_BLOCK)
+    rather than O(S); a SampleStream yields the same draws however they are
+    batched, so the result does not depend on the block size. The joined
+    keys (4 bytes a sample) are sorted in place; beyond them the
+    temporaries are boolean masks of one byte a sample, and the outputs
+    are sized by the repeated indices.
     """
     if S < 2:
         raise BadParams("S must be >= 2")
@@ -58,11 +68,20 @@ def collect_counts(
         source.draw_many(min(_BLOCK, S - a)).astype(dtype, copy=False)
         for a in range(0, S, _BLOCK)
     ])
-    distinct, occ = np.unique(draws, return_counts=True)
-    if distinct.size > S:  # sparsity: memory tracks S, not n
-        raise InvariantViolated(f"{distinct.size} distinct indices from {S} samples")
-    pv = p.lookup(distinct)
-    buckets = bucket_indices(scheme, pv)
+    draws.sort()
+    # repeat[i] says sample i repeats sample i - 1; the False pads at both
+    # ends make every run of repeats rise and fall inside the mask
+    m = draws.size
+    repeat = np.zeros(m + 1, dtype=bool)
+    np.equal(draws[1:], draws[:-1], out=repeat[1:m])
+    distinct = m - int(np.count_nonzero(repeat))
+    if distinct > S:  # sparsity: memory tracks S, not n
+        raise InvariantViolated(f"{distinct} distinct indices from {S} samples")
+    # a run of repeats rising at edge a and falling at edge b is one index
+    # drawn b - a + 1 times, first at sorted position a
+    rise, fall = np.flatnonzero(repeat[1:] != repeat[:-1]).reshape(-1, 2).T
+    occ = fall - rise + 1
+    buckets = bucket_indices(scheme, p.lookup(draws[rise]))
     pairs = occ * (occ - 1) / 2.0
     stat = np.bincount(buckets, weights=pairs, minlength=scheme.k + 1)
     return CollisionStats(total_samples=S, per_bucket_stat=stat)

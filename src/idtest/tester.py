@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,16 +180,21 @@ def plan_sizes(
     return sizes, S
 
 
-def _plan(n: int, config: TesterConfig):
-    """Bucket scheme, capped coarse phase sizes and collision sample size S."""
-    scheme = build_scheme(n, config.eps, SCHEME_C)
-    sizes, S = plan_sizes(scheme, config.delta, PHASE_CAP, config.eps)
+@lru_cache(maxsize=8)
+def _plan(n: int, eps: float):
+    """Bucket scheme, capped coarse phase sizes and collision sample size S.
+
+    Cached on (n, eps), like build_scheme. A plan that raises BadParams is
+    not cached, so it raises on every call.
+    """
+    scheme = build_scheme(n, eps, SCHEME_C)
+    sizes, S = plan_sizes(scheme, eps / C_PRIME, PHASE_CAP, eps)
     return scheme, sizes, S
 
 
 def closed_form_budget(n: int, config: TesterConfig) -> dict:
     """The work budget B(n, eps, config) = m1 + s1 + s2 + S, no sampling."""
-    _, sizes, S = _plan(n, config)
+    _, sizes, S = _plan(n, config.eps)
     return {
         "m1": sizes.m1,
         "s1": sizes.s1,
@@ -214,7 +220,7 @@ def identity_test(
     """
     if source.n != p.n:
         raise DomainMismatch(f"source domain {source.n} != pmf domain {p.n}")
-    scheme, sizes, S = _plan(p.n, config)
+    scheme, sizes, S = _plan(p.n, config.eps)
     counter = QueryCounter(p)
     draws_before = source.draws
     probe_rng = spawn_rng(config.master_seed, TAG_PROBE, trial_index)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idtest.bucketing import _BLOCK, bucket_indices, build_scheme, exact_bucket_masses
 from idtest.distributions import (
@@ -29,21 +31,22 @@ class TestCollectCounts:
     def test_small_example(self):
         # [7, 7, 9]: occurrences {7: 2, 9: 1}; C(2,2) + C(1,2) = 1 collision.
         # Two distinct indices and one collision among three samples leave
-        # only the split (2, 1).
+        # only the split (2, 1). Only 7, drawn twice, is queried.
         n = 12
         p = uniform_pmf(n)
         counter = QueryCounter(p)
         s = build_scheme(n, 2.0, 1.0)
         stream = FileSampleStream(np.array([7, 7, 9]), n=n)
         stats = collect_counts(stream, counter, s, 3)
-        assert counter.total == counter.distinct_count == 2
+        assert counter.total == counter.distinct_count == 1
         j = bucket_indices(s, [1.0 / n])[0]
         assert stats.per_bucket_stat[j] == pytest.approx(1.0)
         assert stats.per_bucket_stat.sum() == pytest.approx(1.0)
 
     def test_indices_beyond_int32_stay_distinct(self):
         # n > 2^31 keeps int64 keys: narrowing would fold 2^32 + 5 onto 5,
-        # leaving one distinct index with C(3, 2) = 3 collisions
+        # leaving one distinct index with C(3, 2) = 3 collisions; 5 is the
+        # one index drawn twice, so the one query
         n = 2**33
 
         class HugeStub:
@@ -54,7 +57,7 @@ class TestCollectCounts:
         s = build_scheme(n, 2.0, 1.0)
         stream = FileSampleStream(np.array([5, 2**32 + 5, 5]), n=n)
         stats = collect_counts(stream, counter, s, 3)
-        assert counter.total == 2
+        assert counter.total == 1
         assert stats.per_bucket_stat.sum() == 1.0
 
     def test_all_distinct_no_collisions(self):
@@ -94,7 +97,8 @@ class TestCollectCounts:
             minlength=s.k + 1,
         )
         np.testing.assert_array_equal(stats.per_bucket_stat, expected)
-        assert counter.total == distinct.size <= 500  # sparse: never O(n)
+        # sparse: one query per index drawn at least twice, never O(n)
+        assert counter.total == np.count_nonzero(occ >= 2) <= 500 // 2
 
     @pytest.mark.parametrize("S", [_BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
     def test_blocked_draws_equal_one_batch(self, S):
@@ -113,7 +117,8 @@ class TestCollectCounts:
             minlength=s.k + 1,
         )
         assert stats.per_bucket_stat.tobytes() == expected.tobytes()
-        assert counter.total == counter.distinct_count == distinct.size
+        repeated = np.count_nonzero(occ >= 2)
+        assert counter.total == counter.distinct_count == repeated
 
     def test_one_query_per_distinct_index(self):
         p = uniform_pmf(30)
@@ -121,8 +126,31 @@ class TestCollectCounts:
         counter = QueryCounter(p)
         stream = FileSampleStream(np.array([1, 1, 2, 2, 2, 9]), n=30)
         collect_counts(stream, counter, s, 6)
-        assert counter.total == 3  # distinct indices only
-        assert counter.distinct_count == 3
+        assert counter.total == 2  # repeated indices only: 9 is drawn once
+        assert counter.distinct_count == 2
+
+    @given(st.lists(st.integers(0, 39), min_size=2, max_size=60))
+    @example(list(range(40)))  # all distinct: no query at all
+    @example([5] * 7 + [6, 6, 39])
+    @settings(max_examples=200, deadline=None)
+    def test_queries_only_repeated_indices(self, samples):
+        # the statistic is the all-distinct formula's to the bit, and p is
+        # queried once per index drawn at least twice
+        n, S = 40, len(samples)
+        p = zipf_pmf(n)
+        s = build_scheme(n, 0.5, 1.0)
+        counter = QueryCounter(p)
+        stream = FileSampleStream(np.array(samples), n=n)
+        stats = collect_counts(stream, counter, s, S)
+        distinct, occ = np.unique(samples, return_counts=True)
+        expected = np.bincount(
+            bucket_indices(s, p.lookup(distinct)),
+            weights=occ * (occ - 1) / 2.0,
+            minlength=s.k + 1,
+        )
+        assert stats.per_bucket_stat.tobytes() == expected.tobytes()
+        repeated = int(np.count_nonzero(occ >= 2))
+        assert counter.total == counter.distinct_count == repeated <= S // 2
 
     def test_precondition(self):
         p = uniform_pmf(4)

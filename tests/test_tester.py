@@ -218,9 +218,9 @@ class TestIdentityTest:
     # (q_samples_used, p_queries_used, distinct_p_queried) per seed: the
     # audit counters are part of the seeded output and must not drift
     GOLDEN = {
-        ("uniform", 1): (18119, 24588, 4095),
-        ("uniform", 2): (18119, 24553, 4092),
-        ("uniform", 3): (18119, 24570, 4093),
+        ("uniform", 1): (18119, 23228, 4087),
+        ("uniform", 2): (18119, 23197, 4084),
+        ("uniform", 3): (18119, 23254, 4087),
         ("zipf", 1): (11730, 21330, 3935),
         ("zipf", 2): (11730, 21330, 3929),
         ("zipf", 3): (11730, 21330, 3925),
@@ -241,17 +241,23 @@ class TestIdentityTest:
     # payloads with those four keys removed from "config" gave the next
     # digests. The tester that then still had the config fields C and
     # c1-c4 matched those; its payloads with these five keys removed from
-    # "config" hash to the values below.
+    # "config" gave the next digests. The tester that still queried p at
+    # every distinct collision index matched those; the uniform and
+    # perturbed payloads with only the verdict's p_queries_used and
+    # distinct_p_queried and the audit's p_queries_used, distinct_p_queried
+    # and used_over_budget replaced by the values of the tester that queries
+    # repeated indices alone hash to the values below. The zipf runs stop
+    # at the coarse stage and kept their digests.
     GOLDEN_JSON = {
-        ("uniform", 1): "c5895b726832de0b809d474c336d3c5455f472782f952c23086d88e2ed3f071d",
-        ("uniform", 2): "abe3cf0360d3b62956b27761ed6ab4776d10d3de5a8a499dc06ab8ca46a73d1e",
-        ("uniform", 3): "edf20d100eccba285c3910f9feb61c8713a22a02288a4175085775006c6ffe75",
+        ("uniform", 1): "1a41f13988e96a1e319fbe1e9158d63ec047e761c80c1015f86acce38f2b0ee5",
+        ("uniform", 2): "d28b09ede53fae8d9ac874e932cb5609c2d8a42910d48be025bef3034117cc85",
+        ("uniform", 3): "5accafede89f85ffbbfe648890e27d8ed0700dc5b32ba7e42c648657b941bcd4",
         ("zipf", 1): "2eeae7ef1991a1db4f35ae8e05dbd901d0ab2cec832da7538dd4990a85ff5da4",
         ("zipf", 2): "50d3938486f49f5eb764341b30716d62d41f56f82046d33eb068083be7e3ddfb",
         ("zipf", 3): "0075529626cd452a8f057215a6f2dad8d73a54f4268ef545af14f1646decd06b",
-        ("perturbed", 1): "45ad1d6182081d582b0824e4eb961b0785b9fed31d28af5c981fecc187156b4d",
-        ("perturbed", 2): "93dc0004139f462332420721bad74206a045584e6cb109c46401bf855392cd1b",
-        ("perturbed", 3): "5a3793fdcd9eca16299d054d884d287d0e7f481f3cd6a0be4ea50a20b0c94d32",
+        ("perturbed", 1): "c71b08d528c87659373db1567c76f1fe6cd8a0b7fd476f918211b536ce6269c6",
+        ("perturbed", 2): "bc882f3ef133b6758bbc140ed70896088e35cc58d281b68433ad707f7b41a674",
+        ("perturbed", 3): "f013f65996a78149cc449db08a61ef17389d289549fb0f5e080039e9a90608ef",
     }
 
     @pytest.mark.parametrize("kind, seed", sorted(GOLDEN_JSON))
@@ -374,16 +380,30 @@ class TestQueryAudit:
         with pytest.raises(BadParams, match=r"m1 \+ s1 \+ s2 \+ S"):
             identity_test(p, stream, cfg)
         assert stream.draws == 0
-        with pytest.raises(BadParams):
-            closed_form_budget(16, cfg)
+        # plans are cached, but a refused one is not: each call raises again
+        for _ in range(2):
+            with pytest.raises(BadParams, match=r"m1 \+ s1 \+ s2 \+ S"):
+                closed_form_budget(16, cfg)
+
+    def test_plan_is_made_once_per_n_and_eps(self):
+        # identity_test and query_audit share one plan across seeds
+        tester._plan.cache_clear()
+        p = uniform_pmf(400)
+        for seed in (1, 2):
+            cfg = TesterConfig(eps=0.5, master_seed=seed)
+            v = identity_test(p, AliasSampler(p, seed_sequence(seed, TAG_TRIAL, 0)), cfg)
+            query_audit(v, 400, cfg)
+        assert tester._plan.cache_info().misses == 1
 
     @pytest.mark.parametrize("pmf", [uniform_pmf, zipf_pmf])
     def test_collision_sample_below_two_is_bad_params(self, pmf, monkeypatch):
         # no eps in (0, 2] gives S < 2 at the shipped C4, so the guard is
         # reached with a smaller one: S = ceil(0.0005 * 20 * ln 401 / 0.25)
         # = 1 is refused before any sample is drawn, whether or not p would
-        # pass the coarse stage
+        # pass the coarse stage. Plans are cached on (n, eps): drop one made
+        # at the shipped C4
         monkeypatch.setattr(tester, "C4", 0.0005)
+        tester._plan.cache_clear()
         p = pmf(400)
         cfg = TesterConfig(eps=0.5)
         stream = AliasSampler(p, 1)
