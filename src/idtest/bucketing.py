@@ -26,7 +26,8 @@ comparison. The cells are computed in the output array and replaced in
 place by their buckets, so a lookup allocates one work array beside its
 output. Inputs run in blocks of _BLOCK = 2^16 values that reuse one
 512 KiB work array, so the temporaries stay O(_BLOCK) however many values
-are looked up.
+are looked up. A zero-stride input, such as a constant pmf's lookup, holds
+one value: it is looked up once and its bucket filled in.
 """
 from __future__ import annotations
 
@@ -175,6 +176,10 @@ def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
     """
     arr = np.asarray(probs, dtype=np.float64)
     flat = arr.reshape(-1)
+    # a zero-stride input (a constant pmf's lookup) holds one value
+    single = flat.size > 1 and flat.strides[0] == 0
+    if single:
+        flat = flat[:1]
     out = np.empty(flat.size, dtype=np.int64)
     upper = np.empty(min(flat.size, _BLOCK))
     for a in range(0, flat.size, _BLOCK):
@@ -198,7 +203,7 @@ def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
         u = scheme.cell_upper.take(cell, mode="wrap", out=upper[: x.size])
         scheme.cell_bucket.take(cell, mode="wrap", out=cell)
         cell += x > u
-    return out.reshape(arr.shape)
+    return np.full(arr.shape, out[0]) if single else out.reshape(arr.shape)
 
 
 def exact_bucket_masses(

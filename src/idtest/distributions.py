@@ -9,8 +9,9 @@ side of 1/n) needs no table: its draw is the uniform index alone.
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,16 +34,33 @@ INSTANCE_KINDS = ("identical-uniform", "random-half", "eps-perturbed", "zipf-pai
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityVector:
-    """A validated pmf over the domain [n] (stored 0-indexed)."""
+    """A validated pmf over the domain [n] (stored 0-indexed).
+
+    `constant` is derived by validation, not chosen: the common value when
+    every entry is exactly equal (the uniform pmf), else None.
+    """
 
     probs: np.ndarray
+    constant: float | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return int(self.probs.shape[0])
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized query: p_i for each index in `indices`."""
+        """Vectorized query: p_i for each index in `indices`.
+
+        A constant pmf answers with a read-only zero-stride view of its one
+        value, bit-equal to probs[indices] but with no gather and no bounds
+        check: every caller's indices come from a SampleStream, whose range
+        is validated, or from a clamp to [0, n).
+        """
+        if self.constant is not None:
+            # on the value's own buffer: a quarter of np.broadcast_to's cost
+            shape = np.shape(indices)
+            return np.ndarray(
+                shape, float, np.float64(self.constant), 0, (0,) * len(shape)
+            )
         return self.probs[indices]
 
 
@@ -60,17 +78,19 @@ def _checked_pmf(arr: np.ndarray) -> ProbabilityVector:
     """validate_pmf without the copy, for a float64 array no code can write."""
     if arr.ndim != 1 or arr.size == 0:
         raise BadParams("pmf must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
+    # NaN propagates through both reductions, so one test of lo and hi
+    # catches every non-finite entry
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise BadParams("pmf entries must be finite")
-    neg = np.nonzero(arr < 0.0)[0]
-    if neg.size:
-        i = int(neg[0])
+    if lo < 0.0:
+        i = int(np.flatnonzero(arr < 0.0)[0])
         raise NegativeEntry(i, float(arr[i]))
     total = float(arr.sum())
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise SumOutOfTolerance(total, PMF_SUM_TOL)
     arr.flags.writeable = False
-    return ProbabilityVector(arr)
+    return ProbabilityVector(arr, lo if lo == hi else None)
 
 
 def l1_distance(p: ProbabilityVector, q: ProbabilityVector) -> float:
@@ -208,7 +228,8 @@ class AliasSampler(SampleStream):
         self._pmf = pmf
         if _tables is None:
             probs = pmf.probs
-            _tables = _IDENTITY if _one_sided(probs) else _build_alias_tables(probs)
+            one_sided = pmf.constant is not None or _one_sided(probs)
+            _tables = _IDENTITY if one_sided else _build_alias_tables(probs)
         self._table = _tables
         ss = seed if isinstance(seed, np.random.SeedSequence) else seed_sequence(seed)
         idx_ss, acc_ss = ss.spawn(2)

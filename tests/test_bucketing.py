@@ -283,3 +283,26 @@ class TestExactBucketMasses:
             exact_bucket_masses(s, uniform_pmf(11))
         with pytest.raises(DomainMismatch):
             exact_bucket_masses(s, uniform_pmf(10), weight_pmf=uniform_pmf(11))
+
+
+class TestZeroStrideLookup:
+    """A zero-stride input is looked up once; it equals the element-wise path."""
+
+    def test_equals_elementwise_at_every_edge(self):
+        s = build_scheme(400, 0.5, 100.0)
+        b = s.boundaries
+        values = np.concatenate([
+            b,
+            np.nextafter(b, 0.0),
+            np.nextafter(b, np.inf),
+            [0.0, -0.0, 5e-324, 2.0 * b[-1]],
+        ])
+        want = np.minimum(np.searchsorted(b, values, side="left"), s.k)
+        for v, j in zip(values.tolist(), want.tolist()):
+            for shape in ((7,), (2, 3)):
+                view = np.broadcast_to(np.float64(v), shape)
+                got = bucket_indices(s, view)
+                assert got.shape == shape
+                assert np.array_equal(got, bucket_indices(s, np.full(shape, v)))
+                assert (got == j).all()
+                assert got.flags.writeable

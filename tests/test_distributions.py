@@ -1,5 +1,6 @@
 """Tests for pmf validation, sampling streams, and instance generators."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -31,6 +32,7 @@ from idtest.errors import (
     SampleExhausted,
     SumOutOfTolerance,
 )
+from idtest.io import read_pmf, write_pmf
 
 
 class TestValidatePmf:
@@ -389,3 +391,66 @@ class TestGenerateInstance:
             generate_instance("no-such-kind", 10, seed=0)
         with pytest.raises(BadParams):
             generate_instance("identical-uniform", 1, seed=0)
+
+
+class TestConstantPmf:
+    """A pmf whose entries are all equal is noted as constant, exactly."""
+
+    @pytest.mark.parametrize("n", [2, 3, 400, 1000, 2**20])
+    def test_set_for_uniform_and_read_back(self, n, tmp_path):
+        p = uniform_pmf(n)
+        assert p.constant is not None
+        assert np.float64(p.constant).tobytes() == p.probs[:1].tobytes()
+        for binary in (True, False):
+            path = tmp_path / f"u{int(binary)}.pmf"
+            write_pmf(path, p, binary=binary)
+            back = read_pmf(path)
+            assert np.float64(back.constant).tobytes() == p.probs[:1].tobytes()
+
+    def test_none_unless_every_entry_is_equal(self):
+        off = np.full(1000, 1.0 / 1000)
+        off[7] = np.nextafter(off[7], 1.0)  # one ulp: still a valid pmf
+        signed_zero = np.array([-0.0, 0.5, 0.5])
+        for p in (
+            zipf_pmf(1000),
+            perturbed_pmf(1000, 0.5, seed=1),
+            validate_pmf(off),
+            validate_pmf(signed_zero),
+        ):
+            assert p.constant is None
+
+    def test_error_precedence(self):
+        with pytest.raises(BadParams, match="finite"):
+            validate_pmf([0.5, float("nan"), -1.0, 1.5])
+        with pytest.raises(BadParams, match="finite"):
+            validate_pmf([-float("inf"), 0.5, 0.5])
+        with pytest.raises(NegativeEntry) as exc:
+            validate_pmf([1.0, -1e-12, 1e-12])
+        assert exc.value.index == 1
+
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            np.empty(0, dtype=np.int64),
+            np.array([0, 5, 5, 399], dtype=np.int64),
+            np.arange(12, dtype=np.int64).reshape(3, 4) * 33,
+        ],
+    )
+    def test_lookup_is_bit_equal_to_the_gather(self, idx):
+        p = uniform_pmf(400)
+        got, want = p.lookup(idx), p.probs[idx]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    def test_alias_sampler_skips_the_scan(self, monkeypatch):
+        p = uniform_pmf(1000)
+
+        def no_scan(probs):
+            raise AssertionError("_one_sided ran for a constant pmf")
+
+        monkeypatch.setattr(distributions, "_one_sided", no_scan)
+        fast = AliasSampler(p, 3)
+        monkeypatch.undo()
+        slow = AliasSampler(dataclasses.replace(p, constant=None), 3)
+        assert np.array_equal(fast.draw_many(5000), slow.draw_many(5000))

@@ -15,6 +15,7 @@ from idtest.bucketing import MAX_BUDGET, build_scheme
 from idtest.coarse import phase_sizes
 from idtest.distributions import (
     AliasSampler,
+    generate_instance,
     perturbed_pmf,
     uniform_pmf,
     validate_pmf,
@@ -447,3 +448,31 @@ class TestQueryAudit:
         assert rep.ok
         assert 0 < rep.used_over_budget <= 1.0
         assert rep.budget_over_n > 0
+
+
+class TestConstantPmfPath:
+    """A constant p's fast lookups give the verdicts of the gathering path."""
+
+    @pytest.mark.parametrize("n", [400, 1000, 4096])
+    @pytest.mark.parametrize("kind", ["self", "eps-perturbed", "random-half"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_verdict_and_audit_equal_the_slow_path(self, n, kind, seed):
+        p = uniform_pmf(n)
+        if kind == "self":
+            q = p
+        elif kind == "eps-perturbed":
+            q = perturbed_pmf(n, 0.5, seed)
+        else:
+            q = generate_instance("random-half", n, seed)[1]
+        slow = dataclasses.replace(p, constant=None)
+        assert p.constant is not None
+        cfg = TesterConfig(eps=0.5, master_seed=seed)
+        texts = []
+        for pmf in (p, slow):
+            v = identity_test(pmf, AliasSampler(q, seed_sequence(seed, TAG_TRIAL, 0)), cfg)
+            payload = {
+                "verdict": v.to_dict(),
+                "audit": dataclasses.asdict(query_audit(v, n, cfg)),
+            }
+            texts.append(json.dumps(payload, sort_keys=True))
+        assert texts[0] == texts[1]
