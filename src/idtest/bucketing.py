@@ -164,6 +164,12 @@ def _build_scheme(n: int, eps: float, C: float) -> BucketScheme:
 _BLOCK = 1 << 16  # lookup block: temporaries stay O(_BLOCK), not O(len(probs))
 
 
+def _one_value(arr: np.ndarray) -> bool:
+    """True for a zero-stride array of more than one element (a constant
+    pmf's lookup): it holds one value."""
+    return arr.size > 1 and not any(arr.strides)
+
+
 def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
     """Vectorized bucket lookup: the first j with prob <= boundaries[j].
 
@@ -176,8 +182,7 @@ def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
     """
     arr = np.asarray(probs, dtype=np.float64)
     flat = arr.reshape(-1)
-    # a zero-stride input (a constant pmf's lookup) holds one value
-    single = flat.size > 1 and flat.strides[0] == 0
+    single = _one_value(flat)
     if single:
         flat = flat[:1]
     out = np.empty(flat.size, dtype=np.int64)

@@ -3,8 +3,9 @@
 Subcommands: test, generate, bench, lemma-check, oracle. The tester is
 set by --eps alone (and --trials on test); its sample-size constants are
 fixed in tester.py. Exit codes: 0 accept, 1 reject, 2 usage or input
-error. Every randomized subcommand takes --seed; when omitted a fresh
-seed is generated and recorded in the output so runs stay reproducible.
+error, a failed allocation included. Every randomized subcommand takes
+--seed; when omitted a fresh seed is generated and recorded in the output
+so runs stay reproducible.
 """
 from __future__ import annotations
 
@@ -258,7 +259,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (IdTestError, OSError) as exc:
+    except (IdTestError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -116,6 +116,28 @@ class TestGenerate:
         assert isinstance(json.loads(out)["seed"], int)
 
 
+@pytest.mark.parametrize(
+    "callee, argv",
+    [
+        ("generate_instance",
+         ["generate", "identical-uniform", "--n", "100000000000", "--seed", "1"]),
+        ("scaling_experiment",
+         ["bench", "--n-grid", "1000000000000", "--eps", "0.5", "--seed", "1"]),
+    ],
+)
+def test_allocation_failure_exits_two(monkeypatch, tmp_path, capsys, callee, argv):
+    # exit 1 means reject: a failed allocation is an input error, exit 2
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(f"idtest.cli.{callee}", fail)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Unable to allocate 745. GiB for an array\n"
+
+
 class TestTest:
     def test_self_accepts(self, tmp_path, capsys):
         pmf = make_uniform_pmf_file(tmp_path, 1024)

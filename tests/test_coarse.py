@@ -28,6 +28,7 @@ from idtest.coarse import (
 from idtest.distributions import (
     AliasSampler,
     FileSampleStream,
+    ProbabilityVector,
     point_mass_pmf,
     uniform_pmf,
     validate_pmf,
@@ -445,6 +446,82 @@ class TestUniformProbe:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+ONE_VALUE_SIZES = (1, _BLOCK, 2 * _BLOCK + 3)
+
+
+class TestOneValuePathsBitEqual:
+    """A constant p's phases, run on its one value, equal the element-wise
+    phases on the same pmf with its constant cleared."""
+
+    @pytest.fixture(scope="class")
+    def pmfs(self):
+        p = uniform_pmf(STREAM_N)
+        assert p.constant is not None
+        assert bucketing._one_value(p.lookup(np.zeros(2, dtype=np.int64)))
+        return p, dataclasses.replace(p, constant=None)
+
+    @pytest.fixture(scope="class", params=["scheme", "all-light", "all-heavy"])
+    def scheme(self, request):
+        s = build_scheme(STREAM_N, 2.0, 1.0)
+        # bucket 0 holds values up to eps/(2n), so 1/n is light in s itself
+        assert bucket_indices(s, [1.0 / STREAM_N])[0] < s.j_star
+        j_star = {"scheme": s.j_star, "all-light": s.k + 1, "all-heavy": 0}
+        return dataclasses.replace(s, j_star=j_star[request.param])
+
+    def run_both(self, pmfs, phase):
+        """phase(counting pmf) for the constant p and the element-wise p."""
+        results = []
+        for p in pmfs:
+            counter = QueryCounter(p)
+            out = phase(counter)
+            results.append((out.dtype, out.tobytes(), counter.total, counter.distinct_count))
+        assert results[0] == results[1]
+        return results[0]
+
+    def stream(self, pmfs):
+        return AliasSampler(pmfs[0], 0).spawn(seed_sequence(14, TAG_TRIAL, 0))
+
+    @pytest.mark.parametrize("size", ONE_VALUE_SIZES)
+    def test_estimate_q(self, pmfs, scheme, size):
+        streams = iter([self.stream(pmfs), self.stream(pmfs)])
+        _, _, total, _ = self.run_both(
+            pmfs, lambda p: estimate_q(next(streams), p, scheme, size)
+        )
+        assert total == size
+
+    @pytest.mark.parametrize("size", ONE_VALUE_SIZES)
+    def test_collect_heavy_support(self, pmfs, scheme, size):
+        streams = iter([self.stream(pmfs), self.stream(pmfs)])
+        _, heavy, total, _ = self.run_both(
+            pmfs, lambda p: collect_heavy_support(next(streams), p, scheme, size)
+        )
+        assert total == size
+        assert (np.frombuffer(heavy).sum() > 0) == (scheme.j_star == 0)
+
+    @pytest.mark.parametrize("size", ONE_VALUE_SIZES)
+    def test_uniform_probe(self, pmfs, scheme, size):
+        _, probe, total, _ = self.run_both(
+            pmfs, lambda p: uniform_probe(p, scheme, size, spawn_rng(15, TAG_PROBE))
+        )
+        assert total == size
+        assert (np.frombuffer(probe).sum() > 0) == (scheme.j_star > 0)
+
+    def test_contribution_bound_violation_message(self):
+        # the broken scheme of test_contribution_bound_violation_raises; a
+        # valid constant pmf never breaks the bound (1/n < 1/sqrt(n)), so
+        # this one is built without validation
+        n = 4
+        s = build_scheme(n, 0.5, 100.0)
+        broken = dataclasses.replace(s, j_star=s.k + 1)
+        one = ProbabilityVector(np.full(n, 0.97), constant=0.97)
+        messages = []
+        for p in (one, dataclasses.replace(one, constant=None)):
+            with pytest.raises(InvariantViolated, match="light-bucket probe") as exc:
+                uniform_probe(p, broken, 200, spawn_rng(7, TAG_PROBE))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
 
 def synthetic_estimates(scheme, q_hat=None, heavy=None, probe=None):
