@@ -85,7 +85,7 @@ class BucketScheme:
 # eps = 0.01, C = 200, has k = 428,339.
 MAX_K = 10**6
 
-# Largest closed-form work budget m1 + s1 + s2 + S that tester._plan accepts.
+# Largest work budget m1 + s1 + s2 + S that tester.plan_sizes accepts.
 # A run holds its samples and queried indices, about 17-21 bytes per unit of
 # budget at peak RSS beyond the interpreter and the pmf, so this bounds a run
 # near 210 MB plus its pmf. Measured on uniform p = q (`idtest test --q self

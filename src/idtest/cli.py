@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bucketing import build_scheme, exact_bucket_masses
-from .distributions import AliasSampler, generate_instance, l1_distance
+from .distributions import INSTANCE_KINDS, AliasSampler, generate_instance, l1_distance
 from .errors import BadParams, IdTestError
 from .harness import lemma_check, scaling_experiment
 from .io import read_pmf, read_samples, write_pmf, write_samples
@@ -198,9 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_test)
 
     sp = sub.add_parser("generate", help="write (p, q) instance files")
-    sp.add_argument("kind", choices=[
-        "identical-uniform", "random-half", "eps-perturbed", "zipf-pair"
-    ])
+    sp.add_argument("kind", choices=INSTANCE_KINDS)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--eps", type=float, help="distance for eps-perturbed")

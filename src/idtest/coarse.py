@@ -29,15 +29,15 @@ lookup) is bucketed once, and each phase works on that one value: the
 counts, the heavy masses and the probe sums are those of the element-wise
 path, bit for bit, and the p-queries are still one per index.
 
-phase_sizes turns delta, the multipliers c1-c3 and the cap into a
-PhaseSizes; coarse_compare runs the phases at those sizes. The module
-holds no configuration of its own: the tester's multipliers are the
-constants tester.C1-C3, and callers size a run once (tester.plan_sizes).
+coarse_compare runs the phases at the sizes of a tester.Plan. The module
+holds no configuration and does no sizing of its own: callers size a run
+once, with tester.plan_sizes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,55 +45,13 @@ from .bucketing import _BLOCK, BucketScheme, _one_value, bucket_indices
 from .errors import BadParams, InvariantViolated
 from .distributions import SampleStream
 
+if TYPE_CHECKING:
+    from .tester import Plan
+
 STEP_HEAVY = "heavy-check"
 STEP_PROBE = "probe-check"
 CASE1 = "case1"
 CASE2 = "case2"
-
-
-@dataclass(frozen=True)
-class PhaseSizes:
-    """Sample and query counts of the three phases, and the tolerance delta."""
-
-    delta: float
-    m1: int
-    s1: int
-    s2: int
-    capped: tuple[bool, bool, bool]
-
-
-def phase_sizes(
-    scheme: BucketScheme,
-    delta: float,
-    c1: float,
-    c2: float,
-    c3: float,
-    budget_scale: float | None,
-) -> PhaseSizes:
-    """Evaluate the three phase sizes for a scheme (no sampling).
-
-        m1  = ceil(c1 * (k/delta)^2 * ln(k+2))
-        s1  = ceil(c2 * sqrt(n) * ln(n+1))
-        s2  = ceil(c3 * (k/delta)^2 * sqrt(n) * ln(k+2))
-
-    s2 is quadratic in k/delta, where the classical statement is cubic: an
-    additive Chernoff bound suffices for the light-bucket tolerance. Unless
-    budget_scale is None (uncapped), each phase is capped at
-    ceil(budget_scale * sqrt(n)) so desk-scale runs stay feasible at large
-    k. The arguments are not checked here; TesterConfig validates eps, and
-    lemma_check its delta.
-    """
-    n, k = scheme.n, scheme.k
-    lk = math.log(k + 2)
-    m1 = math.ceil(c1 * (k / delta) ** 2 * lk)
-    s1 = math.ceil(c2 * math.sqrt(n) * math.log(n + 1))
-    s2 = math.ceil(c3 * (k / delta) ** 2 * math.sqrt(n) * lk)
-    capped = (False, False, False)
-    if budget_scale is not None:
-        cap = math.ceil(budget_scale * math.sqrt(n))
-        capped = (m1 > cap, s1 > cap, s2 > cap)
-        m1, s1, s2 = min(m1, cap), min(s1, cap), min(s2, cap)
-    return PhaseSizes(delta=delta, m1=m1, s1=s1, s2=s2, capped=capped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,10 +235,10 @@ def coarse_compare(
     source: SampleStream,
     p,
     scheme: BucketScheme,
-    sizes: PhaseSizes,
+    sizes: Plan,
     rng: np.random.Generator,
 ) -> CoarseVerdict:
-    """Run all three phases at the given sizes and decide at sizes.delta.
+    """Run all three phases at sizes m1, s1, s2 and decide at sizes.delta.
 
     Consumes m1 + s1 q-samples and performs m1 + s1 + s2 p-queries.
     """

@@ -4,8 +4,8 @@ The known distribution p is a dense probability vector with O(1) indexed
 queries. The unknown distribution q is only ever reached through a
 SampleStream, which yields i.i.d. indices and never exposes probabilities.
 Synthetic q sources are backed by an alias table so a draw is O(1) and the
-harness cost never masks the tester cost. A uniform q (every entry on one
-side of 1/n) needs no table: its draw is the uniform index alone.
+harness cost never masks the tester cost. A constant q, such as the
+uniform one, needs no table: its draw is the uniform index alone.
 """
 from __future__ import annotations
 
@@ -130,32 +130,14 @@ class SampleStream(ABC):
 # the same 16 bytes, so it costs one gather and one cache line, not two.
 _ALIAS_ROW = np.dtype([("accept", "<f8"), ("alias", "<i8")])
 
-# Rows written per block by _build_alias_tables and classified per block by
-# _one_sided: a block of 2^15 rows (512 KB) and its temporaries stay in cache.
+# Rows written per block by _build_alias_tables: a block of 2^15 rows
+# (512 KB) stays in cache.
 _FILL_BLOCK = 2**15
 
-# The table of a pmf whose entries all fall on one side of 1/n. Its full
-# form is the identity table (accept 1.0, alias i), under which every draw
-# keeps its index; zero rows stand for it, as a real table has n >= 1 rows.
+# The table of a constant pmf. Its full form is the identity table (accept
+# 1.0, alias i), under which every draw keeps its index; zero rows stand for
+# it, as a real table has n >= 1 rows.
 _IDENTITY = np.empty(0, dtype=_ALIAS_ROW)
-
-
-def _one_sided(probs: np.ndarray) -> bool:
-    """True when probs * n < 1 holds for every entry or for none.
-
-    These pmfs, the uniform one whichever way 1/n rounds, have the identity
-    as alias table. The count runs in blocks of _FILL_BLOCK with no O(n)
-    temporary and stops at the first block that shows both kinds, so a
-    non-uniform pmf usually costs one block.
-    """
-    n = probs.shape[0]
-    n_small = 0
-    for lo in range(0, n, _FILL_BLOCK):
-        hi = min(lo + _FILL_BLOCK, n)
-        n_small += int(np.count_nonzero(probs[lo:hi] * n < 1.0))
-        if 0 < n_small < hi:
-            return False
-    return True
 
 
 def _build_alias_tables(probs: np.ndarray) -> np.ndarray:
@@ -164,12 +146,12 @@ def _build_alias_tables(probs: np.ndarray) -> np.ndarray:
     Row i is (accept[i], alias[i]): a draw of i keeps i when its
     acceptance coin falls below accept[i] and returns alias[i] otherwise.
     Blocks of _FILL_BLOCK rows are first written as the identity (accept
-    1.0, alias to itself), with no O(n) temporary, and a one-sided pmf
-    (see _one_sided) keeps that table. Otherwise the small (scaled =
+    1.0, alias to itself), with no O(n) temporary. Then the small (scaled =
     probs * n < 1) and large entries are paired: the Python pairing loop
     runs on plain lists and floats, and its results are written back with
     one fancy assignment per column. An entry left over when either side
-    runs dry is 1.0 up to rounding and keeps its initial row.
+    runs dry is 1.0 up to rounding and keeps its initial row, so a pmf
+    whose entries all lie on one side of 1/n keeps the identity table.
     """
     n = probs.shape[0]
     table = np.empty(n, dtype=_ALIAS_ROW)
@@ -178,8 +160,6 @@ def _build_alias_tables(probs: np.ndarray) -> np.ndarray:
         hi = min(lo + _FILL_BLOCK, n)
         accept[lo:hi] = 1.0
         alias[lo:hi] = np.arange(lo, hi)
-    if _one_sided(probs):
-        return table
     scaled = probs * n
     is_small = scaled < 1.0
     small = np.flatnonzero(is_small).tolist()
@@ -215,11 +195,12 @@ class AliasSampler(SampleStream):
     from two independent sub-streams of the seed so that draw sequences
     are invariant under batching.
 
-    A one-sided pmf (see _one_sided), such as the uniform one, would build
-    the identity table, under which every acceptance coin falls below 1.0
-    and every draw keeps its index. Such a sampler holds the zero-row
-    _IDENTITY instead of n rows and returns the index draws alone: the
-    same draws, bit for bit, without the table, the coins or the gather.
+    A constant pmf (ProbabilityVector.constant), such as the uniform one,
+    would build the identity table, under which every acceptance coin
+    falls below 1.0 and every draw keeps its index. Such a sampler holds
+    the zero-row _IDENTITY instead of n rows and returns the index draws
+    alone: the same draws, bit for bit, without the table, the coins or
+    the gather.
     """
 
     def __init__(self, pmf: ProbabilityVector, seed, _tables=None):
@@ -227,9 +208,8 @@ class AliasSampler(SampleStream):
         self.n = pmf.n
         self._pmf = pmf
         if _tables is None:
-            probs = pmf.probs
-            one_sided = pmf.constant is not None or _one_sided(probs)
-            _tables = _IDENTITY if one_sided else _build_alias_tables(probs)
+            constant = pmf.constant is not None
+            _tables = _IDENTITY if constant else _build_alias_tables(pmf.probs)
         self._table = _tables
         ss = seed if isinstance(seed, np.random.SeedSequence) else seed_sequence(seed)
         idx_ss, acc_ss = ss.spawn(2)

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .bucketing import bucket_indices, build_scheme, exact_bucket_masses
-from .coarse import CASE1, CASE2, coarse_compare
+from .coarse import CASE1, CASE2, coarse_compare, estimate_q
 from .distributions import (
     AliasSampler,
     ProbabilityVector,
@@ -32,13 +32,14 @@ from .distributions import (
     zipf_pmf,
 )
 from .errors import BadParams, InvariantViolated
+from .moment import collect_counts, moment_decide
 from .rng import TAG_PROBE, TAG_TRIAL, seed_sequence, spawn_rng
 from .tester import (
     DECISION_ACCEPT,
     SCHEME_C,
     TesterConfig,
-    closed_form_budget,
     identity_test,
+    plan,
     plan_sizes,
     query_audit,
 )
@@ -46,18 +47,18 @@ from .tester import (
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """Wilson score interval for a binomial proportion, at WILSON_Z."""
     if trials <= 0:
         raise BadParams("trials must be positive")
     if not 0 <= successes <= trials:
         raise BadParams("successes must lie in [0, trials]")
     phat = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
     half = (
-        z
+        WILSON_Z
         * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
         / denom
     )
@@ -255,7 +256,7 @@ def lemma_check(
         raise BadParams(
             f"lemma check needs two light buckets; n={n} gives j_star={scheme.j_star}"
         )
-    sizes, _ = plan_sizes(scheme, delta, None)
+    sizes = plan_sizes(scheme, delta, False)
 
     zipf = zipf_pmf(n)
     case1_shapes = {
@@ -369,9 +370,6 @@ def baseline_identity_test(
     efficient pipeline. Returns decision plus exact work counters (bucket
     lookups for samples reuse the scanned table).
     """
-    from .coarse import estimate_q
-    from .moment import collect_counts, moment_decide
-
     scheme = build_scheme(p.n, eps, C)
     masses = exact_bucket_masses(scheme, p)  # the O(n) step
     q_hat = estimate_q(source, p, scheme, m1)
@@ -439,14 +437,13 @@ def scaling_experiment(
         wall_ms = (time.perf_counter() - t0) * 1000.0 / trials_per_point
         bstream = proto.spawn(seed_sequence(master_seed, TAG_TRIAL, n, 999))
         bres = baseline_identity_test(inst.p, bstream, eps, SCHEME_C)
-        b = closed_form_budget(n, config)
         rows.append(
             {
                 "n": n,
                 "q_samples": float(np.mean(q_tot)),
                 "p_queries": float(np.mean(p_tot)),
                 "total": float(np.mean(totals)),
-                "budget": b["total"],
+                "budget": plan(n, config).p_query_budget,
                 "baseline_total": bres["q_samples_used"] + bres["p_queries_used"],
                 "wall_ms": wall_ms,
             }

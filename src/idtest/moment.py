@@ -13,7 +13,6 @@ the repeated indices, typically a small share of the distinct ones.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +157,3 @@ def moment_decide(
         stats=stats.per_bucket_stat,
         mass_guard=guard,
     )
-
-
-def moment_sample_size(n: int, eps: float, c4: float) -> int:
-    """Default collision-sample size: ceil(c4 * sqrt(n) * ln(n+1) / eps^2)."""
-    return math.ceil(c4 * math.sqrt(n) * math.log(n + 1) / eps**2)

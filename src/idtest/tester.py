@@ -1,6 +1,6 @@
 """The composed sublinear identity tester.
 
-Pipeline: build the bucket scheme, size the phases once (_plan), run the
+Pipeline: build the bucket scheme, size the run once (a Plan), run the
 coarse bucket-mass comparator with delta = eps / C_PRIME, reject
 immediately on Case 2, otherwise run the collision test using the
 comparator's q_hat estimates as the bucket masses. Work is
@@ -8,7 +8,7 @@ O(sqrt(n) * polylog): every coarse phase is capped at PHASE_CAP * sqrt(n),
 and nothing in the pipeline ever scans the domain, which the query audit
 enforces. TesterConfig is the package's only configuration object: it
 holds eps, the amplification trial count and the seed; the sample-size
-constants below are fixed.
+constants below are fixed, and plan_sizes alone turns them into sizes.
 """
 from __future__ import annotations
 
@@ -20,10 +20,10 @@ from functools import lru_cache
 import numpy as np
 
 from .bucketing import MAX_BUDGET, BucketScheme, build_scheme
-from .coarse import CASE2, CoarseVerdict, PhaseSizes, coarse_compare, phase_sizes
+from .coarse import CASE2, CoarseVerdict, coarse_compare
 from .distributions import ProbabilityVector, SampleStream
 from .errors import BadParams, BudgetExceeded, DomainMismatch, InvariantViolated
-from .moment import collect_counts, moment_decide, moment_sample_size
+from .moment import collect_counts, moment_decide
 from .rng import TAG_PROBE, spawn_rng
 
 DECISION_ACCEPT = "accept"
@@ -35,8 +35,8 @@ STAGE_NONE = "none"
 C_PRIME = 8.0  # the coarse stage runs at delta = eps / C_PRIME
 PHASE_CAP = 150.0  # each coarse phase takes at most ceil(PHASE_CAP * sqrt(n))
 # Bucket scheme constant (eps' = eps / SCHEME_C), coarse phase multipliers
-# (coarse.phase_sizes) and collision sample multiplier. calibration.json
-# records the multiplier search that chose them.
+# C1-C3 and collision sample multiplier C4 (see plan_sizes).
+# calibration.json records the multiplier search that chose them.
 SCHEME_C = 100.0
 C1, C2, C3, C4 = 64.0, 4.0, 8.0, 3.0
 
@@ -148,26 +148,69 @@ class Verdict:
         }
 
 
-def plan_sizes(
-    scheme: BucketScheme,
-    delta: float,
-    budget_scale: float | None,
-    eps: float | None = None,
-) -> tuple[PhaseSizes, int]:
-    """Coarse phase sizes at delta, and the collision sample size S.
+@dataclass(frozen=True)
+class Plan:
+    """Sample and query counts of one run, fixed before any sampling.
 
-    Both use the multipliers C1-C4. S is sized for eps, or is 0 when eps
-    is None (the comparator alone, as lemma_check runs it). Raises
-    BadParams before any sampling when m1 + s1 + s2 (+ S) exceeds
-    MAX_BUDGET or a size overflows a float, as a tiny eps or delta or an
-    uncapped plan at large k makes it do, and when eps is given and S < 2,
-    too few samples for a collision.
+    m1, s1 and s2 size the three coarse phases, which decide at tolerance
+    delta; S is the collision sample, 0 for the comparator alone. capped
+    says which of m1, s1 and s2 the PHASE_CAP cap cut.
     """
+
+    delta: float
+    m1: int
+    s1: int
+    s2: int
+    S: int
+    capped: tuple[bool, bool, bool]
+
+    @property
+    def q_sample_budget(self) -> int:
+        """m1 + s1 + S, the q-samples of a run that reaches the collision test."""
+        return self.m1 + self.s1 + self.S
+
+    @property
+    def p_query_budget(self) -> int:
+        """m1 + s1 + s2 + S, the work budget B(n, eps) of the paper."""
+        return self.m1 + self.s1 + self.s2 + self.S
+
+
+def plan_sizes(
+    scheme: BucketScheme, delta: float, cap: bool, eps: float | None = None
+) -> Plan:
+    """Evaluate the phase sizes for a scheme, without sampling.
+
+        m1 = ceil(C1 * (k/delta)^2 * ln(k+2))
+        s1 = ceil(C2 * sqrt(n) * ln(n+1))
+        s2 = ceil(C3 * (k/delta)^2 * sqrt(n) * ln(k+2))
+        S  = ceil(C4 * sqrt(n) * ln(n+1) / eps^2), or 0 when eps is None
+
+    s2 is quadratic in k/delta, where the classical statement is cubic: an
+    additive Chernoff bound suffices for the light-bucket tolerance. With
+    cap, m1, s1 and s2 are each capped at ceil(PHASE_CAP * sqrt(n)) so
+    desk-scale runs stay feasible at large k; lemma_check runs uncapped
+    with eps None. C1-C4 and PHASE_CAP are read at each call. Raises BadParams
+    before any sampling when m1 + s1 + s2 (+ S) exceeds MAX_BUDGET or a
+    size overflows a float, as a tiny eps or delta or an uncapped plan at
+    large k makes it do, and when eps is given and S < 2, too few samples
+    for a collision. TesterConfig validates eps, and lemma_check its delta.
+    """
+    n, k = scheme.n, scheme.k
     terms = "m1 + s1 + s2" if eps is None else "m1 + s1 + s2 + S"
     try:
-        sizes = phase_sizes(scheme, delta, C1, C2, C3, budget_scale)
-        S = 0 if eps is None else moment_sample_size(scheme.n, eps, C4)
-        total = float(sizes.m1 + sizes.s1 + sizes.s2 + S)
+        lk = math.log(k + 2)
+        m1 = math.ceil(C1 * (k / delta) ** 2 * lk)
+        s1 = math.ceil(C2 * math.sqrt(n) * math.log(n + 1))
+        s2 = math.ceil(C3 * (k / delta) ** 2 * math.sqrt(n) * lk)
+        capped = (False, False, False)
+        if cap:
+            top = math.ceil(PHASE_CAP * math.sqrt(n))
+            capped = (m1 > top, s1 > top, s2 > top)
+            m1, s1, s2 = min(m1, top), min(s1, top), min(s2, top)
+        S = 0
+        if eps is not None:
+            S = math.ceil(C4 * math.sqrt(n) * math.log(n + 1) / eps**2)
+        total = float(m1 + s1 + s2 + S)
     except OverflowError:  # a size or their sum beyond the float range
         total = math.inf
     if total > MAX_BUDGET:
@@ -177,33 +220,23 @@ def plan_sizes(
         )
     if eps is not None and S < 2:
         raise BadParams(f"the plan gives S = {S} collision samples; S must be >= 2")
-    return sizes, S
+    return Plan(delta=delta, m1=m1, s1=s1, s2=s2, S=S, capped=capped)
 
 
 @lru_cache(maxsize=8)
-def _plan(n: int, eps: float):
-    """Bucket scheme, capped coarse phase sizes and collision sample size S.
+def _plan(n: int, eps: float) -> tuple[BucketScheme, Plan]:
+    """Bucket scheme and capped plan of a tester run at (n, eps).
 
     Cached on (n, eps), like build_scheme. A plan that raises BadParams is
     not cached, so it raises on every call.
     """
     scheme = build_scheme(n, eps, SCHEME_C)
-    sizes, S = plan_sizes(scheme, eps / C_PRIME, PHASE_CAP, eps)
-    return scheme, sizes, S
+    return scheme, plan_sizes(scheme, eps / C_PRIME, True, eps)
 
 
-def closed_form_budget(n: int, config: TesterConfig) -> dict:
-    """The work budget B(n, eps, config) = m1 + s1 + s2 + S, no sampling."""
-    _, sizes, S = _plan(n, config.eps)
-    return {
-        "m1": sizes.m1,
-        "s1": sizes.s1,
-        "s2": sizes.s2,
-        "S": S,
-        "q_sample_budget": sizes.m1 + sizes.s1 + S,
-        "p_query_budget": sizes.m1 + sizes.s1 + sizes.s2 + S,
-        "total": sizes.m1 + sizes.s1 + sizes.s2 + S,
-    }
+def plan(n: int, config: TesterConfig) -> Plan:
+    """The sizes and work budget of one identity_test run, no sampling."""
+    return _plan(n, config.eps)[1]
 
 
 def identity_test(
@@ -220,7 +253,7 @@ def identity_test(
     """
     if source.n != p.n:
         raise DomainMismatch(f"source domain {source.n} != pmf domain {p.n}")
-    scheme, sizes, S = _plan(p.n, config.eps)
+    scheme, sizes = _plan(p.n, config.eps)
     counter = QueryCounter(p)
     draws_before = source.draws
     probe_rng = spawn_rng(config.master_seed, TAG_PROBE, trial_index)
@@ -230,7 +263,7 @@ def identity_test(
         "m1": sizes.m1,
         "s1": sizes.s1,
         "s2": sizes.s2,
-        "S": S,
+        "S": sizes.S,
         "capped": list(sizes.capped),
     }
 
@@ -264,9 +297,9 @@ def identity_test(
         _check_draws(sizes.m1 + sizes.s1)
         return _verdict(DECISION_REJECT, STAGE_COARSE, cv.triggering_bucket, None)
 
-    stats = collect_counts(source, counter, scheme, S)
+    stats = collect_counts(source, counter, scheme, sizes.S)
     report = moment_decide(stats, cv.estimates.q_hat, scheme, config.eps)
-    _check_draws(sizes.m1 + sizes.s1 + S)
+    _check_draws(sizes.q_sample_budget)
     if report.accept:
         return _verdict(DECISION_ACCEPT, STAGE_NONE, None, report)
     return _verdict(DECISION_REJECT, STAGE_MOMENT, report.triggering_bucket, report)
@@ -319,11 +352,11 @@ def query_audit(verdict: Verdict, n: int, config: TesterConfig) -> AuditReport:
     A violation raises BudgetExceeded: that is a tester bug, never an
     input condition.
     """
-    budget = closed_form_budget(n, config)
+    budget = plan(n, config)
     trials = config.trials_for_amplification
-    q_budget = budget["q_sample_budget"] * trials
-    p_budget = budget["p_query_budget"] * trials
-    s2_total = budget["s2"] * trials
+    q_budget = budget.q_sample_budget * trials
+    p_budget = budget.p_query_budget * trials
+    s2_total = budget.s2 * trials
     failures = []
     if verdict.q_samples_used > q_budget:
         failures.append(
@@ -339,7 +372,6 @@ def query_audit(verdict: Verdict, n: int, config: TesterConfig) -> AuditReport:
         failures.append("distinct p-indices exceed q_samples + s2")
     if failures:
         raise BudgetExceeded("; ".join(failures))
-    total_budget = budget["total"] * trials
     used = verdict.q_samples_used + verdict.p_queries_used
     return AuditReport(
         ok=True,
@@ -349,5 +381,5 @@ def query_audit(verdict: Verdict, n: int, config: TesterConfig) -> AuditReport:
         q_sample_budget=q_budget,
         p_query_budget=p_budget,
         used_over_budget=used / (q_budget + p_budget),
-        budget_over_n=total_budget / n,
+        budget_over_n=p_budget / n,
     )

@@ -461,6 +461,20 @@ def test_removed_public_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+def test_package_exports_only_the_tester_and_its_inputs():
+    import types
+
+    public = {
+        name for name, value in vars(idtest).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {
+        "TesterConfig", "Verdict", "identity_test", "amplified_test", "query_audit",
+        "ProbabilityVector", "validate_pmf", "SampleStream", "AliasSampler",
+        "FileSampleStream",
+    }
+
+
 def test_oracle_buckets_default_C_is_the_tester_scheme(tmp_path, capsys):
     from idtest.tester import SCHEME_C
 

@@ -10,8 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idtest import bucketing, coarse
-from idtest.bucketing import _BLOCK, bucket_indices, build_scheme, exact_bucket_masses
+from idtest import bucketing, coarse, tester
+from idtest.bucketing import (
+    _BLOCK,
+    MAX_BUDGET,
+    bucket_indices,
+    build_scheme,
+    exact_bucket_masses,
+)
 from idtest.coarse import (
     CASE1,
     CASE2,
@@ -22,7 +28,6 @@ from idtest.coarse import (
     coarse_decide,
     collect_heavy_support,
     estimate_q,
-    phase_sizes,
     uniform_probe,
 )
 from idtest.distributions import (
@@ -41,29 +46,33 @@ from idtest.tester import (
     C1,
     C2,
     C3,
-    PHASE_CAP,
     QueryCounter,
     TesterConfig,
     identity_test,
+    plan_sizes,
     query_audit,
 )
 
 
-def sizes_at(scheme, delta, c1=C1, c2=C2, c3=C3, budget_scale=PHASE_CAP):
-    """Phase sizes, at the tester's multipliers and cap unless given."""
-    return phase_sizes(scheme, delta, c1, c2, c3, budget_scale)
+def sizes_at(scheme, delta, c1=C1, c2=C2, c3=C3, cap=True):
+    """Comparator plan, at the tester's multipliers and cap unless given."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("C1", c1), ("C2", c2), ("C3", c3)):
+            mp.setattr(tester, name, value)
+        return plan_sizes(scheme, delta, cap)
 
 
 class TestPhaseSizes:
     def test_uncapped_formulas(self):
         s = build_scheme(16, 2.0, 1.0)  # k = 3
-        sz = phase_sizes(s, 1.0, 1.0, 1.0, 1.0, None)
+        sz = sizes_at(s, 1.0, 1.0, 1.0, 1.0, cap=False)
         lk = math.log(s.k + 2)
         assert sz.m1 == math.ceil((s.k / 1.0) ** 2 * lk)
         assert sz.s1 == math.ceil(math.sqrt(16) * math.log(17))
         assert sz.s2 == math.ceil((s.k / 1.0) ** 2 * math.sqrt(16) * lk)
         assert sz.capped == (False, False, False)
         assert sz.delta == 1.0
+        assert sz.S == 0  # the comparator alone draws no collision sample
 
     def test_quadratic_s2_and_cap(self):
         s = build_scheme(400, 0.5, 100.0)  # large k
@@ -72,10 +81,16 @@ class TestPhaseSizes:
         assert sz.m1 == cap and sz.s2 == cap
         assert sz.capped[0] and sz.capped[2]
         assert not sz.capped[1]  # s1 formula is already sqrt-scale
-        uncapped = sizes_at(s, 0.0625, budget_scale=None)
+        # uncapped, s2 is quadratic in k/delta: on a plan under the budget
+        # (k = 6 at C = 1); this one asks for 9.2e11 and is refused with its total
+        small = build_scheme(400, 2.0, 1.0)
+        uncapped = sizes_at(small, 0.5, cap=False)
         assert uncapped.s2 == math.ceil(
-            8.0 * (s.k / 0.0625) ** 2 * math.sqrt(400) * math.log(s.k + 2)
+            8.0 * (small.k / 0.5) ** 2 * math.sqrt(400) * math.log(small.k + 2)
         )
+        assert uncapped.m1 + uncapped.s1 + uncapped.s2 <= MAX_BUDGET
+        with pytest.raises(BadParams, match=r"m1 \+ s1 \+ s2 = 9\.17e\+11 samples"):
+            sizes_at(s, 0.0625, cap=False)
 
     def test_config_validation(self):
         with pytest.raises(BadParams):
@@ -232,7 +247,7 @@ class TestEstimateQ:
         n, delta = 100, 0.2
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)  # k = 5
-        m = phase_sizes(s, delta, 128.0, 1.0, 1.0, None).m1
+        m = sizes_at(s, delta, 128.0, 1.0, 1.0, cap=False).m1
         tol = delta / (8 * s.k + 8)
         truth = exact_bucket_masses(s, p)
         proto = AliasSampler(p, 0)
@@ -617,7 +632,7 @@ class TestCoarseCompare:
         n = 200
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        sz = sizes_at(s, 0.5, c1=2.0, c3=0.01, budget_scale=None)
+        sz = sizes_at(s, 0.5, c1=2.0, c3=0.01, cap=False)
         counter = QueryCounter(p)
         stream = AliasSampler(p, seed=5)
         coarse_compare(stream, counter, s, sz, spawn_rng(5, TAG_PROBE))
@@ -628,7 +643,7 @@ class TestCoarseCompare:
         n = 400
         p = uniform_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        sz = sizes_at(s, 0.1, c1=1.0, c3=0.1, budget_scale=None)
+        sz = sizes_at(s, 0.1, c1=1.0, c3=0.1, cap=False)
         proto = AliasSampler(p, 0)
         for t in range(25):
             stream = proto.spawn(seed_sequence(31, TAG_TRIAL, t))
@@ -641,7 +656,7 @@ class TestCoarseCompare:
         p = validate_pmf(np.concatenate([np.full(200, 1.5 / n), np.full(200, 0.5 / n)]))
         q = uniform_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        sz = sizes_at(s, 0.1, c1=4.0, c3=1.0, budget_scale=None)
+        sz = sizes_at(s, 0.1, c1=4.0, c3=1.0, cap=False)
         proto = AliasSampler(q, 0)
         for t in range(25):
             stream = proto.spawn(seed_sequence(37, TAG_TRIAL, t))
@@ -661,7 +676,7 @@ class TestCoarseCompare:
         n = 150
         p = zipf_pmf(n)
         s = build_scheme(n, 2.0, 1.0)
-        sz = sizes_at(s, 0.3, c1=1.0, c3=0.1, budget_scale=None)
+        sz = sizes_at(s, 0.3, c1=1.0, c3=0.1, cap=False)
         stream = AliasSampler(p, seed=9)
         out = coarse_compare(stream, p, s, sz, spawn_rng(9, TAG_PROBE))
         assert abs(out.estimates.q_hat.sum() - 1.0) <= 1e-9

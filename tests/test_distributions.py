@@ -276,7 +276,6 @@ class TestAliasSampler:
         def no_build(*_):
             raise AssertionError("spawn rebuilt the table")
 
-        monkeypatch.setattr(distributions, "_one_sided", no_build)
         monkeypatch.setattr(distributions, "_build_alias_tables", no_build)
         child = s.spawn(seed=1)
         assert child._table is s._table  # passed along, not None
@@ -446,11 +445,12 @@ class TestConstantPmf:
     def test_alias_sampler_skips_the_scan(self, monkeypatch):
         p = uniform_pmf(1000)
 
-        def no_scan(probs):
-            raise AssertionError("_one_sided ran for a constant pmf")
+        def no_build(probs):
+            raise AssertionError("a constant pmf built an alias table")
 
-        monkeypatch.setattr(distributions, "_one_sided", no_scan)
+        monkeypatch.setattr(distributions, "_build_alias_tables", no_build)
         fast = AliasSampler(p, 3)
         monkeypatch.undo()
         slow = AliasSampler(dataclasses.replace(p, constant=None), 3)
+        assert slow._table.size == 1000  # the full identity table
         assert np.array_equal(fast.draw_many(5000), slow.draw_many(5000))

@@ -8,7 +8,6 @@ import pytest
 
 from idtest import harness
 from idtest.bucketing import MAX_BUDGET, build_scheme, exact_bucket_masses
-from idtest.coarse import phase_sizes
 from idtest.distributions import zipf_pmf
 from idtest.errors import BadParams, InvariantViolated
 from idtest.harness import (
@@ -25,7 +24,7 @@ from idtest.harness import (
 )
 from idtest.rng import TAG_TRIAL, seed_sequence
 from idtest.distributions import AliasSampler
-from idtest.tester import C1, C2, C3, PHASE_CAP, TesterConfig, plan_sizes
+from idtest.tester import TesterConfig, plan_sizes
 
 
 class TestWilsonInterval:
@@ -198,8 +197,8 @@ class TestLemmaCheck:
         monkeypatch.setattr(harness, "coarse_compare", spy)
         lemma_check(100, 0.4, trials=6, include_gap=False)
         scheme = build_scheme(100, LEMMA_SCHEME_EPS, LEMMA_SCHEME_C)
-        want = phase_sizes(scheme, 0.4, C1, C2, C3, None)
-        assert want != phase_sizes(scheme, 0.4, C1, C2, C3, PHASE_CAP)
+        want = plan_sizes(scheme, 0.4, False)
+        assert want != plan_sizes(scheme, 0.4, True)
         assert len(seen) == 12 and all(sizes == want for sizes in seen)
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, 2.5, float("nan")])
@@ -218,9 +217,9 @@ class TestLemmaCheck:
     def test_largest_plan_in_use_fits_the_cap(self):
         # n = 400, delta = 0.1: acceptance criterion 3 and comparator-400
         scheme = build_scheme(400, LEMMA_SCHEME_EPS, LEMMA_SCHEME_C)
-        sizes, S = plan_sizes(scheme, 0.1, None)
+        sizes = plan_sizes(scheme, 0.1, False)
         total = sizes.m1 + sizes.s1 + sizes.s2
-        assert (total, S) == (1_677_343, 0)
+        assert (total, sizes.S) == (1_677_343, 0)
         assert total <= MAX_BUDGET
 
 

@@ -20,11 +20,10 @@ from idtest.moment import (
     CollisionStats,
     collect_counts,
     moment_decide,
-    moment_sample_size,
     sample_pairs,
 )
 from idtest.rng import TAG_TRIAL, seed_sequence
-from idtest.tester import QueryCounter
+from idtest.tester import QueryCounter, TesterConfig, plan
 
 
 class TestCollectCounts:
@@ -265,7 +264,7 @@ class TestMomentDecide:
         p = uniform_pmf(n)
         s = build_scheme(n, 0.5, 100.0)
         masses = exact_bucket_masses(s, p)
-        S = moment_sample_size(n, 0.5, c4=3.0)
+        S = plan(n, TesterConfig(eps=0.5)).S  # C4 = 3
         proto = AliasSampler(p, 0)
         accepts = 0
         for t in range(200):
@@ -275,6 +274,7 @@ class TestMomentDecide:
         assert accepts >= 190
 
     def test_sample_size_formula(self):
-        assert moment_sample_size(400, 0.5, 3.0) == math.ceil(
+        # S = ceil(C4 * sqrt(n) * ln(n+1) / eps^2), C4 = 3
+        assert plan(400, TesterConfig(eps=0.5)).S == math.ceil(
             3.0 * 20.0 * math.log(401) / 0.25
         )

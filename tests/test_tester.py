@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idtest.bucketing import MAX_BUDGET, build_scheme
-from idtest.coarse import phase_sizes
 from idtest.distributions import (
     AliasSampler,
     generate_instance,
@@ -28,7 +27,6 @@ from idtest.errors import (
     InvariantViolated,
 )
 from idtest import tester
-from idtest.moment import moment_sample_size
 from idtest.rng import TAG_TRIAL, seed_sequence
 from idtest.tester import (
     C1,
@@ -46,8 +44,9 @@ from idtest.tester import (
     QueryCounter,
     TesterConfig,
     amplified_test,
-    closed_form_budget,
     identity_test,
+    plan,
+    plan_sizes,
     query_audit,
 )
 
@@ -210,8 +209,8 @@ class TestIdentityTest:
         # two_level p against uniform q stops at the coarse stage (seed 6)
         p = two_level_pmf(n) if stage == STAGE_COARSE else uniform_pmf(n)
         cfg = TesterConfig(eps=0.5, master_seed=6)
-        b = closed_form_budget(n, cfg)
-        expected = b["m1"] + b["s1"] + (b["S"] if stage == STAGE_MOMENT else 0)
+        b = plan(n, cfg)
+        expected = b.m1 + b.s1 + (b.S if stage == STAGE_MOMENT else 0)
         stream = Leaky(uniform_pmf(n), seed_sequence(6, TAG_TRIAL, 0))
         with pytest.raises(InvariantViolated, match=f"expected {expected}$"):
             identity_test(p, stream, cfg)
@@ -320,11 +319,11 @@ class TestAmplifiedTest:
         )
         cfg = TesterConfig(eps=0.5, master_seed=4, trials_for_amplification=3)
         single = TesterConfig(eps=0.5, master_seed=4)
-        b1 = closed_form_budget(n, single)
+        b1 = plan(n, single)
         v = amplified_test(p, AliasSampler(q, seed_sequence(4, TAG_TRIAL, 0)), cfg)
         assert v.decision == DECISION_REJECT
-        assert v.q_samples_used <= 3 * b1["q_sample_budget"]
-        assert v.q_samples_used > b1["q_sample_budget"]  # more than one trial
+        assert v.q_samples_used <= 3 * b1.q_sample_budget
+        assert v.q_samples_used > b1.q_sample_budget  # more than one trial
         query_audit(v, n, cfg)
 
     def test_nine_trial_majority_math(self):
@@ -360,14 +359,14 @@ class TestAmplifiedTest:
 class TestQueryAudit:
     def test_budget_ratio_reflects_sqrt_scaling(self):
         cfg = TesterConfig(eps=0.5)
-        b1 = closed_form_budget(10**4, cfg)["total"]
-        b2 = closed_form_budget(4 * 10**4, cfg)["total"]
+        b1 = plan(10**4, cfg).p_query_budget
+        b2 = plan(4 * 10**4, cfg).p_query_budget
         assert 1.9 <= b2 / b1 <= 2.3
 
     def test_budget_over_n_decreases(self):
         cfg = TesterConfig(eps=0.5)
         ratios = [
-            closed_form_budget(n, cfg)["total"] / n
+            plan(n, cfg).p_query_budget / n
             for n in (2**10, 2**12, 2**14, 2**16, 2**18)
         ]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -384,7 +383,7 @@ class TestQueryAudit:
         # plans are cached, but a refused one is not: each call raises again
         for _ in range(2):
             with pytest.raises(BadParams, match=r"m1 \+ s1 \+ s2 \+ S"):
-                closed_form_budget(16, cfg)
+                plan(16, cfg)
 
     def test_plan_is_made_once_per_n_and_eps(self):
         # identity_test and query_audit share one plan across seeds
@@ -412,24 +411,31 @@ class TestQueryAudit:
             identity_test(p, stream, cfg)
         assert stream.draws == 0
         with pytest.raises(BadParams, match="S = 1"):
-            closed_form_budget(400, cfg)
+            plan(400, cfg)
 
     @pytest.mark.parametrize("n, eps", [(2, 2.0), (16, 0.5), (400, 0.5), (4096, 1.0), (2**20, 0.5)])
     def test_plan_uses_the_shipped_constants(self, n, eps):
         cfg = TesterConfig(eps=eps)
-        sizes = phase_sizes(build_scheme(n, eps, SCHEME_C), cfg.delta, C1, C2, C3, PHASE_CAP)
-        budget = closed_form_budget(n, cfg)
-        assert (budget["m1"], budget["s1"], budget["s2"]) == (sizes.m1, sizes.s1, sizes.s2)
-        assert budget["S"] == moment_sample_size(n, eps, C4)
+        scheme = build_scheme(n, eps, SCHEME_C)
+        sizes = plan_sizes(scheme, cfg.delta, True, eps)
+        budget = plan(n, cfg)
+        assert budget == sizes
+        top = math.ceil(PHASE_CAP * math.sqrt(n))
+        lk = math.log(scheme.k + 2)
+        k_delta = (scheme.k / cfg.delta) ** 2
+        assert budget.m1 == min(math.ceil(C1 * k_delta * lk), top)
+        assert budget.s1 == min(math.ceil(C2 * math.sqrt(n) * math.log(n + 1)), top)
+        assert budget.s2 == min(math.ceil(C3 * k_delta * math.sqrt(n) * lk), top)
+        assert budget.S == math.ceil(C4 * math.sqrt(n) * math.log(n + 1) / eps**2)
 
     def test_smallest_collision_sample_is_two(self):
         # S grows with n and shrinks with eps, and n >= 2, eps <= 2: the
         # smallest plan has S = ceil(3 * sqrt(2) * ln 3 / 4) = 2
-        assert closed_form_budget(2, TesterConfig(eps=2.0))["S"] == 2
+        assert plan(2, TesterConfig(eps=2.0)).S == 2
 
     def test_largest_plan_in_use_fits_the_cap(self):
         # one n = 2^20 run at eps = 0.5 and the defaults, as in single-1m
-        total = closed_form_budget(2**20, TesterConfig(eps=0.5))["total"]
+        total = plan(2**20, TesterConfig(eps=0.5)).p_query_budget
         assert total == 534_331 <= MAX_BUDGET
 
     def test_violation_raises(self):
