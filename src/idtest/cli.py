@@ -15,8 +15,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .bucketing import build_scheme, exact_bucket_masses
 from .distributions import INSTANCE_KINDS, AliasSampler, generate_instance, l1_distance
 from .errors import BadParams, IdTestError

@@ -25,9 +25,11 @@ add exactly, and np.add.at accumulates the probe contributions in input
 order, as bincount(weights=) does.
 
 A block that p answers with one value (a constant pmf's zero-stride
-lookup) is bucketed once, and each phase works on that one value: the
-counts, the heavy masses and the probe sums are those of the element-wise
-path, bit for bit, and the p-queries are still one per index.
+lookup) is bucketed once, and the q-frequency and probe phases work on
+that one value: their counts and probe sums are those of the element-wise
+path, bit for bit, and the p-queries are still one per index. The heavy
+phase needs no branch of its own, as bucket_indices buckets its one-value
+lookup once.
 
 coarse_compare runs the phases at the sizes of a tester.Plan. The module
 holds no configuration and does no sizing of its own: callers size a run
@@ -43,7 +45,7 @@ import numpy as np
 
 from .bucketing import _BLOCK, BucketScheme, _one_value, bucket_indices
 from .errors import BadParams, InvariantViolated
-from .distributions import SampleStream
+from .distributions import SampleStream, _key_dtype, _sort_runs
 
 if TYPE_CHECKING:
     from .tester import Plan
@@ -132,24 +134,16 @@ def collect_heavy_support(
     """
     if s1_size < 1:
         raise BadParams("s1_size must be >= 1")
-    # sorted copy: a FileSampleStream hands out a view of its buffer
-    draws = np.sort(source.draw_many(s1_size))
+    # astype copies: a FileSampleStream hands out a view of its buffer
+    draws = source.draw_many(s1_size).astype(_key_dtype(source.n))
+    first = ~_sort_runs(draws)[:-1]  # the first draw of each distinct index
     pv = p.lookup(draws)  # exactly one p-query per draw
-    first = np.empty(draws.size, dtype=bool)
-    first[0] = True
-    np.not_equal(draws[1:], draws[:-1], out=first[1:])
-    if _one_value(pv):
-        # still one value, repeated once per distinct index
-        upv = pv[: np.count_nonzero(first)]
-        if bucket_indices(scheme, pv[:1])[0] < scheme.j_star:
-            return np.zeros(scheme.k + 1)
-    else:
-        upv = pv[first]  # one p-value per distinct index, in index order
-    buckets = bucket_indices(scheme, upv)
-    mask = buckets >= scheme.j_star
-    # float64 also when no index is heavy: bincount of an empty array is int64
+    buckets = bucket_indices(scheme, pv)
+    first &= buckets >= scheme.j_star
+    # one p-value per distinct heavy index, in index order; float64 also
+    # when no index is heavy: bincount of an empty array is int64
     return np.bincount(
-        buckets[mask], weights=upv[mask], minlength=scheme.k + 1
+        buckets[first], weights=pv[first], minlength=scheme.k + 1
     ).astype(np.float64, copy=False)
 
 

@@ -126,6 +126,27 @@ class SampleStream(ABC):
         """Draw m independent samples (0-indexed)."""
 
 
+def _key_dtype(n: int) -> type:
+    """Sort-key dtype of indices below n: int32, which halves a sort's
+    bytes, while every index fits; int64 beyond."""
+    return np.int32 if n <= 2**31 else np.int64
+
+
+def _sort_runs(keys: np.ndarray) -> np.ndarray:
+    """Sort keys in place and flag the repeats among them.
+
+    Returns keys.size + 1 flags: entry i, for 0 < i < keys.size, says sorted
+    key i repeats key i - 1. The False pads at both ends make every run of
+    repeats rise and fall inside the flags, so keys.size minus the flags set
+    is the distinct count.
+    """
+    keys.sort()
+    m = keys.size
+    repeat = np.zeros(m + 1, dtype=bool)
+    np.equal(keys[1:], keys[:-1], out=repeat[1:m])
+    return repeat
+
+
 # One alias-table row: a draw of index i reads accept[i] and alias[i] from
 # the same 16 bytes, so it costs one gather and one cache line, not two.
 _ALIAS_ROW = np.dtype([("accept", "<f8"), ("alias", "<i8")])

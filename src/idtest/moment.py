@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bucketing import _BLOCK, BucketScheme, bucket_indices
-from .distributions import SampleStream
+from .distributions import SampleStream, _key_dtype, _sort_runs
 from .errors import BadParams, DimensionMismatch, InvariantViolated
 
 
@@ -60,20 +60,13 @@ def collect_counts(
     """
     if S < 2:
         raise BadParams("S must be >= 2")
-    # indices below n <= 2^31 fit int32, which halves the sort's bytes (the
-    # rule QueryCounter.distinct_count uses); larger domains keep int64
-    dtype = np.int32 if source.n <= 2**31 else np.int64
+    dtype = _key_dtype(source.n)
     draws = np.concatenate([
         source.draw_many(min(_BLOCK, S - a)).astype(dtype, copy=False)
         for a in range(0, S, _BLOCK)
     ])
-    draws.sort()
-    # repeat[i] says sample i repeats sample i - 1; the False pads at both
-    # ends make every run of repeats rise and fall inside the mask
-    m = draws.size
-    repeat = np.zeros(m + 1, dtype=bool)
-    np.equal(draws[1:], draws[:-1], out=repeat[1:m])
-    distinct = m - int(np.count_nonzero(repeat))
+    repeat = _sort_runs(draws)
+    distinct = draws.size - int(np.count_nonzero(repeat))
     if distinct > S:  # sparsity: memory tracks S, not n
         raise InvariantViolated(f"{distinct} distinct indices from {S} samples")
     # a run of repeats rising at edge a and falling at edge b is one index

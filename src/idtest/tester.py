@@ -21,7 +21,7 @@ import numpy as np
 
 from .bucketing import MAX_BUDGET, BucketScheme, build_scheme
 from .coarse import CASE2, CoarseVerdict, coarse_compare
-from .distributions import ProbabilityVector, SampleStream
+from .distributions import ProbabilityVector, SampleStream, _key_dtype, _sort_runs
 from .errors import BadParams, BudgetExceeded, DomainMismatch, InvariantViolated
 from .moment import collect_counts, moment_decide
 from .rng import TAG_PROBE, spawn_rng
@@ -68,10 +68,6 @@ class TesterConfig:
         if self.master_seed < 0:
             raise BadParams("master_seed must be non-negative")
 
-    @property
-    def delta(self) -> float:
-        return self.eps / C_PRIME
-
 
 class QueryCounter:
     """Counting view of a pmf: total lookups and distinct indices touched.
@@ -93,12 +89,8 @@ class QueryCounter:
 
     @property
     def distinct_count(self) -> int:
-        # indices below n <= 2^31 fit int32, which halves the sort's bytes
-        dtype = np.int32 if self.n <= 2**31 else np.int64
-        queried = np.concatenate(self._queried, dtype=dtype)
-        queried.sort()
-        changes = int(np.count_nonzero(queried[1:] != queried[:-1]))
-        return int(queried.size > 0) + changes
+        queried = np.concatenate(self._queried, dtype=_key_dtype(self.n))
+        return queried.size - int(np.count_nonzero(_sort_runs(queried)))
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices)
@@ -128,24 +120,12 @@ class Verdict:
     config: TesterConfig
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "decision": self.decision,
-            "stage": self.stage,
-            "triggering_bucket": self.triggering_bucket,
-            "q_samples_used": self.q_samples_used,
-            "p_queries_used": self.p_queries_used,
-            "distinct_p_queried": self.distinct_p_queried,
-            "sizes": self.sizes,
-            "k": self.k,
-            "j_star": self.j_star,
-            "j_star_degenerate": self.j_star_degenerate,
-            "seed": self.seed,
-            "trial_index": self.trial_index,
-            "coarse": self.coarse.to_dict(),
-            "moment": self.moment.to_dict() if self.moment is not None else None,
-            "config": asdict(self.config),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["coarse"] = self.coarse.to_dict()
+        if self.moment is not None:
+            out["moment"] = self.moment.to_dict()
+        out["config"] = asdict(self.config)
+        return {"schema_version": 1, **out}
 
 
 @dataclass(frozen=True)
@@ -259,50 +239,39 @@ def identity_test(
     probe_rng = spawn_rng(config.master_seed, TAG_PROBE, trial_index)
 
     cv = coarse_compare(source, counter, scheme, sizes, probe_rng)
-    size_info = {
-        "m1": sizes.m1,
-        "s1": sizes.s1,
-        "s2": sizes.s2,
-        "S": sizes.S,
-        "capped": list(sizes.capped),
-    }
-
-    def _check_draws(expected):
-        used = source.draws - draws_before
-        if used != expected:
-            raise InvariantViolated(f"drew {used} q-samples, expected {expected}")
-
-    def _verdict(decision, stage, bucket, moment_report):
-        q_used = source.draws - draws_before
-        return Verdict(
-            decision=decision,
-            stage=stage,
-            triggering_bucket=bucket,
-            q_samples_used=q_used,
-            p_queries_used=counter.total,
-            distinct_p_queried=counter.distinct_count,
-            sizes=size_info,
-            k=scheme.k,
-            j_star=scheme.j_star,
-            j_star_degenerate=scheme.j_star_degenerate,
-            coarse=cv,
-            moment=moment_report,
-            seed=config.master_seed,
-            trial_index=trial_index,
-            config=config,
-        )
-
-    if cv.case == CASE2:
-        # immediate reject; zero moment samples drawn
-        _check_draws(sizes.m1 + sizes.s1)
-        return _verdict(DECISION_REJECT, STAGE_COARSE, cv.triggering_bucket, None)
-
-    stats = collect_counts(source, counter, scheme, sizes.S)
-    report = moment_decide(stats, cv.estimates.q_hat, scheme, config.eps)
-    _check_draws(sizes.q_sample_budget)
-    if report.accept:
-        return _verdict(DECISION_ACCEPT, STAGE_NONE, None, report)
-    return _verdict(DECISION_REJECT, STAGE_MOMENT, report.triggering_bucket, report)
+    report = None
+    if cv.case == CASE2:  # immediate reject; zero moment samples drawn
+        decision, stage, bucket = DECISION_REJECT, STAGE_COARSE, cv.triggering_bucket
+    else:
+        stats = collect_counts(source, counter, scheme, sizes.S)
+        report = moment_decide(stats, cv.estimates.q_hat, scheme, config.eps)
+        if report.accept:
+            decision, stage, bucket = DECISION_ACCEPT, STAGE_NONE, None
+        else:
+            decision, stage = DECISION_REJECT, STAGE_MOMENT
+            bucket = report.triggering_bucket
+    used = source.draws - draws_before
+    expected = sizes.m1 + sizes.s1 + (0 if report is None else sizes.S)
+    if used != expected:
+        raise InvariantViolated(f"drew {used} q-samples, expected {expected}")
+    return Verdict(
+        decision=decision,
+        stage=stage,
+        triggering_bucket=bucket,
+        q_samples_used=used,
+        p_queries_used=counter.total,
+        distinct_p_queried=counter.distinct_count,
+        sizes={"m1": sizes.m1, "s1": sizes.s1, "s2": sizes.s2, "S": sizes.S,
+               "capped": list(sizes.capped)},
+        k=scheme.k,
+        j_star=scheme.j_star,
+        j_star_degenerate=scheme.j_star_degenerate,
+        coarse=cv,
+        moment=report,
+        seed=config.master_seed,
+        trial_index=trial_index,
+        config=config,
+    )
 
 
 def amplified_test(

@@ -224,25 +224,25 @@ class TestLemmaCheck:
 
 
 class TestBaseline:
-    def test_verdict_agreement_on_reference_suite(self):
+    def test_verdict_agreement_on_reference_suite(self, monkeypatch):
         # explicit-mass baseline and the sublinear pipeline agree on the
         # extreme instances when given matching collision sample sizes
+        monkeypatch.setattr(harness, "BASELINE_M1", 2000)
+        monkeypatch.setattr(harness, "BASELINE_S", 1439)
         n = 400
         for kind, want in [("identical-uniform", "accept"), ("random-half", "reject")]:
             inst = make_instance(kind, n, seed=2)
             agree = 0
             for t in range(25):
                 stream = AliasSampler(inst.q, seed_sequence(50 + t, TAG_TRIAL, 0))
-                res = baseline_identity_test(
-                    inst.p, stream, 0.5, 100.0, m1=2000, S=1439
-                )
+                res = baseline_identity_test(inst.p, stream, 0.5)
                 agree += res["decision"] == want
             assert agree >= 23
 
     def test_baseline_counts_linear_scan(self):
         inst = make_instance("identical-uniform", 512, seed=0)
         stream = AliasSampler(inst.q, seed_sequence(1, TAG_TRIAL, 0))
-        res = baseline_identity_test(inst.p, stream, 0.5, 100.0)
+        res = baseline_identity_test(inst.p, stream, 0.5)
         assert res["p_queries_used"] == 512
 
 

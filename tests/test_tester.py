@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from idtest.bucketing import MAX_BUDGET, build_scheme
 from idtest.distributions import (
     AliasSampler,
+    _key_dtype,
+    _sort_runs,
     generate_instance,
     perturbed_pmf,
     uniform_pmf,
@@ -60,8 +62,8 @@ def two_level_pmf(n):
 
 class TestConfig:
     def test_delta_is_eps_over_c_prime(self):
-        assert TesterConfig(eps=0.5).delta == pytest.approx(0.0625)
-        assert TesterConfig(eps=0.8).delta == 0.8 / C_PRIME == pytest.approx(0.1)
+        assert plan(400, TesterConfig(eps=0.5)).delta == pytest.approx(0.0625)
+        assert plan(400, TesterConfig(eps=0.8)).delta == 0.8 / C_PRIME == pytest.approx(0.1)
 
     def test_validation(self):
         with pytest.raises(BadParams):
@@ -302,6 +304,36 @@ class TestQueryCounter:
         assert counter.total == 3
         assert counter.distinct_count == 2
 
+    def test_key_dtype_boundary(self):
+        # the largest domain with int32 keys still holds its top index
+        assert _key_dtype(2**31) is np.int32
+        top = np.array([2**31 - 1, 0, 2**31 - 1]).astype(_key_dtype(2**31))
+        assert top.max() == 2**31 - 1
+        assert _key_dtype(2**31 + 1) is np.int64
+
+    @given(
+        st.lists(
+            st.lists(
+                st.integers(0, 9) | st.integers(2**31 - 10, 2**31 - 1),
+                max_size=30,
+            ),
+            max_size=8,
+        )
+    )
+    @example([])
+    @example([[]])
+    @example([[2**31 - 1, 0, 2**31 - 1]])
+    @settings(max_examples=200, deadline=None)
+    def test_sort_runs_sorts_pads_and_counts(self, batches):
+        arrays = [np.array(b, dtype=np.int64) for b in batches]
+        keys = np.concatenate(arrays + [np.empty(0, np.int64)], dtype=_key_dtype(2**31))
+        values = [i for b in batches for i in b]
+        repeat = _sort_runs(keys)
+        assert keys.tolist() == sorted(values)
+        assert repeat.size == keys.size + 1
+        assert not repeat[0] and not repeat[-1]
+        assert keys.size - np.count_nonzero(repeat) == len(set(values))
+
 
 class TestAmplifiedTest:
     def test_single_trial_identical_to_identity_test(self):
@@ -417,12 +449,12 @@ class TestQueryAudit:
     def test_plan_uses_the_shipped_constants(self, n, eps):
         cfg = TesterConfig(eps=eps)
         scheme = build_scheme(n, eps, SCHEME_C)
-        sizes = plan_sizes(scheme, cfg.delta, True, eps)
+        sizes = plan_sizes(scheme, eps / C_PRIME, True, eps)
         budget = plan(n, cfg)
         assert budget == sizes
         top = math.ceil(PHASE_CAP * math.sqrt(n))
         lk = math.log(scheme.k + 2)
-        k_delta = (scheme.k / cfg.delta) ** 2
+        k_delta = (scheme.k / (eps / C_PRIME)) ** 2
         assert budget.m1 == min(math.ceil(C1 * k_delta * lk), top)
         assert budget.s1 == min(math.ceil(C2 * math.sqrt(n) * math.log(n + 1)), top)
         assert budget.s2 == min(math.ceil(C3 * k_delta * math.sqrt(n) * lk), top)
