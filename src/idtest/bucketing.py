@@ -26,8 +26,9 @@ comparison. The cells are computed in the output array and replaced in
 place by their buckets, so a lookup allocates one work array beside its
 output. Inputs run in blocks of _BLOCK = 2^16 values that reuse one
 512 KiB work array, so the temporaries stay O(_BLOCK) however many values
-are looked up. A zero-stride input, such as a constant pmf's lookup, holds
-one value: it is looked up once and its bucket filled in.
+are looked up. An input of one value, a size-1 array or a zero-stride one
+such as a constant pmf's lookup, skips the table: one scalar search of the
+boundaries, the contract itself, gives its bucket, which is filled in.
 """
 from __future__ import annotations
 
@@ -178,13 +179,15 @@ def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
     the table) gives the bucket j of the cell's lowest value; the cell holds
     at most one boundary, so the answer is j + (prob > cell_upper), where
     cell_upper is boundaries[j], or +inf in the top cell so that values
-    above the top boundary stay at k.
+    above the top boundary stay at k. An input of one value (size 1, or
+    zero-stride) is answered by that searchsorted itself, on the value once.
     """
     arr = np.asarray(probs, dtype=np.float64)
+    if arr.size == 1 or _one_value(arr):
+        # one value: a scalar search costs less than the table's dozen calls
+        j = min(int(scheme.boundaries.searchsorted(arr.item(0))), scheme.k)
+        return np.full(arr.shape, j, dtype=np.int64)
     flat = arr.reshape(-1)
-    single = _one_value(flat)
-    if single:
-        flat = flat[:1]
     out = np.empty(flat.size, dtype=np.int64)
     upper = np.empty(min(flat.size, _BLOCK))
     for a in range(0, flat.size, _BLOCK):
@@ -208,7 +211,7 @@ def bucket_indices(scheme: BucketScheme, probs) -> np.ndarray:
         u = scheme.cell_upper.take(cell, mode="wrap", out=upper[: x.size])
         scheme.cell_bucket.take(cell, mode="wrap", out=cell)
         cell += x > u
-    return np.full(arr.shape, out[0]) if single else out.reshape(arr.shape)
+    return out.reshape(arr.shape)
 
 
 def exact_bucket_masses(

@@ -28,8 +28,9 @@ A block that p answers with one value (a constant pmf's zero-stride
 lookup) is bucketed once, and the q-frequency and probe phases work on
 that one value: their counts and probe sums are those of the element-wise
 path, bit for bit, and the p-queries are still one per index. The heavy
-phase needs no branch of its own, as bucket_indices buckets its one-value
-lookup once.
+phase needs no branch of its own: it buckets the draws as drawn and returns
+zeros when none is heavy, which a uniform p never is (1/n < 1/sqrt(n)), so
+it sorts nothing then and only the heavy draws otherwise.
 
 coarse_compare runs the phases at the sizes of a tester.Plan. The module
 holds no configuration and does no sizing of its own: callers size a run
@@ -45,7 +46,7 @@ import numpy as np
 
 from .bucketing import _BLOCK, BucketScheme, _one_value, bucket_indices
 from .errors import BadParams, InvariantViolated
-from .distributions import SampleStream, _key_dtype, _sort_runs
+from .distributions import SampleStream
 
 if TYPE_CHECKING:
     from .tester import Plan
@@ -130,21 +131,24 @@ def collect_heavy_support(
 
     Each distinct sampled index in a bucket >= j_star contributes its
     p-value once; entries below j_star stay zero. Always a lower bound
-    on the true bucket mass.
+    on the true bucket mass. The masses are float64 zeros when no draw is
+    heavy.
     """
     if s1_size < 1:
         raise BadParams("s1_size must be >= 1")
-    # astype copies: a FileSampleStream hands out a view of its buffer
-    draws = source.draw_many(s1_size).astype(_key_dtype(source.n))
-    first = ~_sort_runs(draws)[:-1]  # the first draw of each distinct index
+    # a FileSampleStream hands out a view of its buffer: only copies of the
+    # draws are sorted
+    draws = source.draw_many(s1_size)
     pv = p.lookup(draws)  # exactly one p-query per draw
     buckets = bucket_indices(scheme, pv)
-    first &= buckets >= scheme.j_star
-    # one p-value per distinct heavy index, in index order; float64 also
-    # when no index is heavy: bincount of an empty array is int64
-    return np.bincount(
-        buckets[first], weights=pv[first], minlength=scheme.k + 1
-    ).astype(np.float64, copy=False)
+    heavy = np.flatnonzero(buckets >= scheme.j_star)
+    if not heavy.size:
+        return np.zeros(scheme.k + 1)
+    heavy = heavy[draws[heavy].argsort()]
+    keys = draws[heavy]
+    # one p-value per distinct heavy index, in index order
+    pick = heavy[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return np.bincount(buckets[pick], weights=pv[pick], minlength=scheme.k + 1)
 
 
 def uniform_probe(
@@ -192,8 +196,11 @@ def uniform_probe(
                 f"light-bucket probe contribution {peak} exceeds {limit}"
             )
         contrib *= n
-        # a one-value block adds its contribution once per probe, in order
-        np.add.at(total, np.broadcast_to(buckets, idx.shape), contrib)
+        if buckets.size < idx.size:
+            # a one-value block adds its contribution once per probe, in
+            # order, through a zero-stride view of its one bucket
+            buckets = np.ndarray(idx.shape, np.int64, buckets, 0, (0,))
+        np.add.at(total, buckets, contrib)
     return total / float(s2_size)
 
 

@@ -221,7 +221,8 @@ class AliasSampler(SampleStream):
     falls below 1.0 and every draw keeps its index. Such a sampler holds
     the zero-row _IDENTITY instead of n rows and returns the index draws
     alone: the same draws, bit for bit, without the table, the coins or
-    the gather.
+    the gather. It builds no acceptance generator either; the sub-stream
+    is still spawned, so the index stream is the one a table would see.
     """
 
     def __init__(self, pmf: ProbabilityVector, seed, _tables=None):
@@ -235,7 +236,8 @@ class AliasSampler(SampleStream):
         ss = seed if isinstance(seed, np.random.SeedSequence) else seed_sequence(seed)
         idx_ss, acc_ss = ss.spawn(2)
         self._idx_rng = np.random.default_rng(idx_ss)
-        self._acc_rng = np.random.default_rng(acc_ss)
+        # the identity table draws no coins: a generator would be wasted
+        self._acc_rng = np.random.default_rng(acc_ss) if _tables.size else None
 
     def spawn(self, seed) -> "AliasSampler":
         """Fresh stream over the same pmf, sharing the O(n) table."""

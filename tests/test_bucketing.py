@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idtest import bucketing
 from idtest.bucketing import (
     _BLOCK,
     MAX_K,
@@ -22,6 +23,8 @@ from idtest.distributions import (
     zipf_pmf,
 )
 from idtest.errors import BadParams, DomainMismatch
+from idtest.harness import LEMMA_SCHEME_C, LEMMA_SCHEME_EPS
+from idtest.tester import SCHEME_C
 
 
 def membership_predicate(scheme, prob, j):
@@ -306,3 +309,36 @@ class TestZeroStrideLookup:
                 assert np.array_equal(got, bucket_indices(s, np.full(shape, v)))
                 assert (got == j).all()
                 assert got.flags.writeable
+
+
+class TestOneValueSearch:
+    """A one-value input (size 1 or zero-stride) takes one scalar search;
+    it equals the cell-table path on the same values."""
+
+    @pytest.mark.parametrize(
+        "n, eps, C",
+        [(400, LEMMA_SCHEME_EPS, LEMMA_SCHEME_C), (400, 0.5, SCHEME_C),
+         (2**20, 0.5, SCHEME_C)],
+        ids=["lemma-400", "tester-400", "tester-2^20"],
+    )
+    def test_equals_cell_table_at_every_edge(self, n, eps, C):
+        s = build_scheme(n, eps, C)
+        b = s.boundaries
+        values = np.concatenate([
+            b,
+            np.nextafter(b, 0.0),
+            np.nextafter(b, np.inf),
+            [0.0, -0.0, 5e-324, np.nextafter(b[-1], np.inf), 2.0 * b[-1]],
+        ])
+        table = bucket_indices(s, values)  # many values: the cell table
+        assert not bucketing._one_value(values)
+        assert np.array_equal(
+            table, np.minimum(np.searchsorted(b, values, side="left"), s.k)
+        )
+        for v, j in zip(values.tolist(), table.tolist()):
+            zero_stride = np.ndarray((5,), float, np.float64(v), 0, (0,))
+            for one in (np.array([v]), np.float64(v), zero_stride):
+                got = bucket_indices(s, one)
+                assert got.shape == np.shape(one)
+                assert got.dtype == np.int64
+                assert (got == j).all()

@@ -296,6 +296,23 @@ class TestCollectHeavySupport:
         assert got_counter.distinct_count == want_counter.distinct_count
         assert np.array_equal(stream._samples, kept)
 
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_all_light_is_float64_zeros(self, constant):
+        # a uniform p is all light (1/n < 1/sqrt(n)): zeros, as float64
+        n = 1024
+        p = uniform_pmf(n)
+        if not constant:
+            p = dataclasses.replace(p, constant=None)
+        s = build_scheme(n, 0.5, 100.0)
+        samples = np.arange(n, dtype=np.int64)[::-1].copy()
+        streams = [AliasSampler(p, 3), FileSampleStream(samples, n=n)]
+        for stream in streams:
+            heavy = collect_heavy_support(stream, p, s, n)
+            assert heavy.dtype == np.float64
+            assert heavy.shape == (s.k + 1,)
+            assert not heavy.any()
+        assert np.array_equal(samples, np.arange(n)[::-1])
+
     def test_deduplication(self):
         # repeated index counted once
         n = 10

@@ -298,6 +298,22 @@ class TestAliasSampler:
         assert b._table is table
         assert np.array_equal(a.draw_many(10**4), b.draw_many(10**4))
 
+    @pytest.mark.parametrize("n", [2, 4096])
+    def test_constant_sampler_holds_no_acceptance_generator(self, n):
+        # no generator for coins the identity table never draws; the
+        # sub-stream is still spawned, so the draws match the full table's
+        p = uniform_pmf(n)
+        table = _build_alias_tables(p.probs)
+        seeds = [np.random.SeedSequence(5), np.random.SeedSequence(5)]
+        a, b = AliasSampler(p, seeds[0]), AliasSampler(p, seeds[1], _tables=table)
+        assert seeds[0].n_children_spawned == seeds[1].n_children_spawned == 2
+        for child_seed in (None, 9, 10):
+            if child_seed is not None:
+                a, b = a.spawn(child_seed), b.spawn(child_seed)
+            assert a._acc_rng is None
+            assert isinstance(b._acc_rng, np.random.Generator)
+            assert np.array_equal(a.draw_many(1000), b.draw_many(1000))
+
     @pytest.mark.parametrize("n", [4096, UNIFORM_ROUNDS_LOW[0]])
     def test_near_uniform_builds_full_table(self, n):
         # two entries moved a few ulps to opposite sides of 1/n: not one-sided
