@@ -32,6 +32,9 @@ phase needs no branch of its own: it buckets the draws as drawn and returns
 zeros when none is heavy, which a uniform p never is (1/n < 1/sqrt(n)), so
 it sorts nothing then and only the heavy draws otherwise.
 
+identity_test does not run this stage on a constant p, which cannot fail
+it (see tester); lemma_check's uniform Case-1 shape still runs it on one.
+
 coarse_compare runs the phases at the sizes of a tester.Plan. The module
 holds no configuration and does no sizing of its own: callers size a run
 once, with tester.plan_sizes.

@@ -9,17 +9,25 @@ and nothing in the pipeline ever scans the domain, which the query audit
 enforces. TesterConfig is the package's only configuration object: it
 holds eps, the amplification trial count and the seed; the sample-size
 constants below are fixed, and plan_sizes alone turns them into sizes.
+
+A constant p (ProbabilityVector.constant, such as the uniform pmf) skips
+the coarse stage and runs at the plan's coarse-free form (Plan.coarse_free:
+S samples, m1 = s1 = s2 = 0). The stage cannot use such a p: its value
+c ~ 1/n lies in one bucket b < j_star (c < 1/sqrt(n) / (1 + eps')), so
+q_hat is the unit vector e_b whatever q is, no bucket is heavy, and the
+probe check could fail only on the rounding of n * c, rejecting a valid
+p = q. The collision test gets e_b from one scalar bucket_indices call.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bucketing import MAX_BUDGET, BucketScheme, build_scheme
+from .bucketing import MAX_BUDGET, BucketScheme, bucket_indices, build_scheme
 from .coarse import CASE2, CoarseVerdict, coarse_compare
 from .distributions import ProbabilityVector, SampleStream, _key_dtype, _sort_runs
 from .errors import BadParams, BudgetExceeded, DomainMismatch, InvariantViolated
@@ -113,7 +121,7 @@ class Verdict:
     k: int
     j_star: int
     j_star_degenerate: bool
-    coarse: CoarseVerdict
+    coarse: CoarseVerdict | None  # None when p is constant (stage skipped)
     moment: object | None  # MomentReport when the moment stage ran
     seed: int
     trial_index: int
@@ -121,7 +129,8 @@ class Verdict:
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["coarse"] = self.coarse.to_dict()
+        if self.coarse is not None:
+            out["coarse"] = self.coarse.to_dict()
         if self.moment is not None:
             out["moment"] = self.moment.to_dict()
         out["config"] = asdict(self.config)
@@ -143,6 +152,19 @@ class Plan:
     s2: int
     S: int
     capped: tuple[bool, bool, bool]
+
+    @cached_property
+    def coarse_free(self) -> Plan:
+        """This plan without the coarse phases: the run of a constant p.
+
+        Cached with the plan, as a run and its audit each read it.
+        """
+        return replace(self, m1=0, s1=0, s2=0, capped=(False, False, False))
+
+    def to_dict(self) -> dict:
+        """The sizes a Verdict reports."""
+        return {"m1": self.m1, "s1": self.s1, "s2": self.s2, "S": self.S,
+                "capped": list(self.capped)}
 
     @property
     def q_sample_budget(self) -> int:
@@ -236,15 +258,20 @@ def identity_test(
     scheme, sizes = _plan(p.n, config.eps)
     counter = QueryCounter(p)
     draws_before = source.draws
-    probe_rng = spawn_rng(config.master_seed, TAG_PROBE, trial_index)
-
-    cv = coarse_compare(source, counter, scheme, sizes, probe_rng)
+    if p.constant is None:
+        probe_rng = spawn_rng(config.master_seed, TAG_PROBE, trial_index)
+        cv = coarse_compare(source, counter, scheme, sizes, probe_rng)
+        q_hat = cv.estimates.q_hat
+    else:  # the coarse stage cannot use a constant p (module docstring)
+        sizes, cv = sizes.coarse_free, None
+        q_hat = np.zeros(scheme.k + 1)
+        q_hat[int(bucket_indices(scheme, p.constant))] = 1.0
     report = None
-    if cv.case == CASE2:  # immediate reject; zero moment samples drawn
+    if cv is not None and cv.case == CASE2:  # immediate reject; no moment samples
         decision, stage, bucket = DECISION_REJECT, STAGE_COARSE, cv.triggering_bucket
     else:
         stats = collect_counts(source, counter, scheme, sizes.S)
-        report = moment_decide(stats, cv.estimates.q_hat, scheme, config.eps)
+        report = moment_decide(stats, q_hat, scheme, config.eps)
         if report.accept:
             decision, stage, bucket = DECISION_ACCEPT, STAGE_NONE, None
         else:
@@ -261,8 +288,7 @@ def identity_test(
         q_samples_used=used,
         p_queries_used=counter.total,
         distinct_p_queried=counter.distinct_count,
-        sizes={"m1": sizes.m1, "s1": sizes.s1, "s2": sizes.s2, "S": sizes.S,
-               "capped": list(sizes.capped)},
+        sizes=sizes.to_dict(),
         k=scheme.k,
         j_star=scheme.j_star,
         j_star_degenerate=scheme.j_star_degenerate,
@@ -279,8 +305,8 @@ def amplified_test(
 ) -> Verdict:
     """Majority vote over an odd number of independent tester runs.
 
-    Each run gets its own probe sub-stream; q-samples are consumed
-    sequentially from the shared source. Counters are summed; the
+    Each run that probes gets its own probe sub-stream; q-samples are
+    consumed sequentially from the shared source. Counters are summed; the
     diagnostics come from the first run on the majority side.
     """
     trials = config.trials_for_amplification
@@ -313,7 +339,9 @@ class AuditReport:
 def query_audit(verdict: Verdict, n: int, config: TesterConfig) -> AuditReport:
     """Assert the run stayed inside its closed-form work budget.
 
-    Checks, per amplification trial:
+    The verdict's sizes must be plan(n, config) or, for a constant p, its
+    coarse-free form (m1 = s1 = s2 = 0, the same S). Then, per
+    amplification trial, at those sizes:
       - q-samples <= m1 + s1 + S
       - p-queries <= m1 + s1 + s2 + S and <= q-samples + s2
       - distinct p-indices touched <= q-samples + s2 (no domain scan)
@@ -321,7 +349,14 @@ def query_audit(verdict: Verdict, n: int, config: TesterConfig) -> AuditReport:
     A violation raises BudgetExceeded: that is a tester bug, never an
     input condition.
     """
-    budget = plan(n, config)
+    full = plan(n, config)
+    for budget in (full, full.coarse_free):
+        if budget.to_dict() == verdict.sizes:
+            break
+    else:
+        raise BudgetExceeded(
+            f"sizes {verdict.sizes} are neither the plan at n = {n} nor its coarse-free form"
+        )
     trials = config.trials_for_amplification
     q_budget = budget.q_sample_budget * trials
     p_budget = budget.p_query_budget * trials

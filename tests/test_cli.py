@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import idtest
 from idtest.cli import main
 from idtest.io import PMF_MAGIC, read_pmf
-from idtest.tester import TesterConfig
+from idtest.tester import TesterConfig, plan
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +188,27 @@ class TestTest:
         )
         assert code == 2
         assert "remain" in err
+
+    def test_q_file_of_the_collision_sample_is_enough(self, tmp_path, capsys):
+        # a uniform p skips the coarse stage, so a run reads S samples, not
+        # m1 + s1 + S; one fewer exhausts the file
+        pmf = make_uniform_pmf_file(tmp_path, 1024)
+        S = plan(1024, TesterConfig(eps=0.5)).S
+        draws = np.random.default_rng(5).integers(1, 1025, size=S)
+        for count, want in ((S, {0, 1}), (S - 1, {2})):
+            samples = tmp_path / f"q{count}.samples"
+            samples.write_text("\n".join(map(str, draws[:count])) + "\n")
+            code, out, err = run_cli(
+                capsys, "test", "--pmf", str(pmf), "--q-file", str(samples),
+                "--eps", "0.5", "--seed", "7",
+            )
+            assert code in want
+            if code == 2:
+                assert err.startswith(f"error: needed {S} samples")
+            else:
+                payload = json.loads(out)
+                assert payload["q_samples_used"] == S
+                assert payload["coarse"] is None
 
     def test_malformed_pmf_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.pmf"

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idtest.bucketing import MAX_BUDGET, build_scheme
+from idtest.coarse import CASE1, coarse_compare
 from idtest.distributions import (
     AliasSampler,
     _key_dtype,
@@ -29,7 +30,8 @@ from idtest.errors import (
     InvariantViolated,
 )
 from idtest import tester
-from idtest.rng import TAG_TRIAL, seed_sequence
+from idtest.moment import collect_counts, moment_decide
+from idtest.rng import TAG_PROBE, TAG_TRIAL, seed_sequence, spawn_rng
 from idtest.tester import (
     C1,
     C2,
@@ -181,6 +183,18 @@ class TestIdentityTest:
             runs.append(identity_test(p, stream, cfg).to_dict())
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_constant_p_off_one_by_rounding_accepts_itself(self, seed):
+        # n * c = 1 + 8e-10 is inside PMF_SUM_TOL but beyond the probe
+        # tolerance delta/(4k+4), about 6.6e-10 at k = 190,027: a coarse
+        # stage would reject this p = q at its probe check
+        p = validate_pmf(np.full(4, 0.25 + 2e-10))
+        assert p.constant is not None
+        cfg = TesterConfig(eps=0.004, master_seed=seed)
+        v = identity_test(p, AliasSampler(p, seed_sequence(seed, TAG_TRIAL, 0)), cfg)
+        assert (v.decision, v.stage) == (DECISION_ACCEPT, STAGE_NONE)
+        query_audit(v, 4, cfg)
+
     def test_domain_mismatch(self):
         p = uniform_pmf(10)
         stream = AliasSampler(uniform_pmf(11), seed=0)
@@ -208,21 +222,25 @@ class TestIdentityTest:
                 return super().draw_many(m)
 
         n = 400
-        # two_level p against uniform q stops at the coarse stage (seed 6)
+        # two_level p against uniform q stops at the coarse stage (seed 6);
+        # a uniform p skips it and draws the collision sample alone
         p = two_level_pmf(n) if stage == STAGE_COARSE else uniform_pmf(n)
         cfg = TesterConfig(eps=0.5, master_seed=6)
         b = plan(n, cfg)
-        expected = b.m1 + b.s1 + (b.S if stage == STAGE_MOMENT else 0)
+        expected = b.m1 + b.s1 if stage == STAGE_COARSE else b.S
         stream = Leaky(uniform_pmf(n), seed_sequence(6, TAG_TRIAL, 0))
         with pytest.raises(InvariantViolated, match=f"expected {expected}$"):
             identity_test(p, stream, cfg)
 
     # (q_samples_used, p_queries_used, distinct_p_queried) per seed: the
-    # audit counters are part of the seeded output and must not drift
+    # audit counters are part of the seeded output and must not drift.
+    # A uniform p skips the coarse stage: its counters are the stream's
+    # draws and a QueryCounter's counts after collect_counts alone, at
+    # S = 6,389 on a fresh stream of the same seed.
     GOLDEN = {
-        ("uniform", 1): (18119, 23228, 4087),
-        ("uniform", 2): (18119, 23197, 4084),
-        ("uniform", 3): (18119, 23254, 4087),
+        ("uniform", 1): (6389, 1914, 1914),
+        ("uniform", 2): (6389, 1884, 1884),
+        ("uniform", 3): (6389, 1934, 1934),
         ("zipf", 1): (11730, 21330, 3935),
         ("zipf", 2): (11730, 21330, 3929),
         ("zipf", 3): (11730, 21330, 3925),
@@ -248,18 +266,24 @@ class TestIdentityTest:
     # perturbed payloads with only the verdict's p_queries_used and
     # distinct_p_queried and the audit's p_queries_used, distinct_p_queried
     # and used_over_budget replaced by the values of the tester that queries
-    # repeated indices alone hash to the values below. The zipf runs stop
-    # at the coarse stage and kept their digests.
+    # repeated indices alone hash to the next digests. The zipf runs stop
+    # at the coarse stage and kept their digests. A uniform p (the uniform
+    # and perturbed rows) then skipped the coarse stage; those six digests
+    # are of payloads built by the direct route, without identity_test or
+    # query_audit: collect_counts on a fresh stream of the same seed with a
+    # QueryCounter, moment_decide on p's bucket unit vector e_b, the
+    # verdict fields set by hand (coarse null, sizes m1 = s1 = s2 = 0 and
+    # S = 6,389, capped all false) and the audit computed at S per trial.
     GOLDEN_JSON = {
-        ("uniform", 1): "1a41f13988e96a1e319fbe1e9158d63ec047e761c80c1015f86acce38f2b0ee5",
-        ("uniform", 2): "d28b09ede53fae8d9ac874e932cb5609c2d8a42910d48be025bef3034117cc85",
-        ("uniform", 3): "5accafede89f85ffbbfe648890e27d8ed0700dc5b32ba7e42c648657b941bcd4",
+        ("uniform", 1): "fc8e90bdd1f7562696846517c6047305e76ecbd505cfcbfb3c646629f2796fa5",
+        ("uniform", 2): "cdfd10bdd2e5781a8545334d730e8837736738c6a5d4a79dc12f60b44d99a4a9",
+        ("uniform", 3): "0bd2ce6fb2808a854b61c6d16a26165367f3114f76f1c8f7ad7a472ed6d0f715",
         ("zipf", 1): "2eeae7ef1991a1db4f35ae8e05dbd901d0ab2cec832da7538dd4990a85ff5da4",
         ("zipf", 2): "50d3938486f49f5eb764341b30716d62d41f56f82046d33eb068083be7e3ddfb",
         ("zipf", 3): "0075529626cd452a8f057215a6f2dad8d73a54f4268ef545af14f1646decd06b",
-        ("perturbed", 1): "c71b08d528c87659373db1567c76f1fe6cd8a0b7fd476f918211b536ce6269c6",
-        ("perturbed", 2): "bc882f3ef133b6758bbc140ed70896088e35cc58d281b68433ad707f7b41a674",
-        ("perturbed", 3): "f013f65996a78149cc449db08a61ef17389d289549fb0f5e080039e9a90608ef",
+        ("perturbed", 1): "51d7693cef9acf78e1be346220e4b15b8cf9ac255616052236dcd517ae64efec",
+        ("perturbed", 2): "30423fa9e02946ea09ae34fdbf1c0ad38e9daf8875ea1a9d2ef5072eaadc1d12",
+        ("perturbed", 3): "f4834bb29f5d427f41ef3cf67081b3d840057d2f24f2fcefb8e918ac747f634a",
     }
 
     @pytest.mark.parametrize("kind, seed", sorted(GOLDEN_JSON))
@@ -354,8 +378,8 @@ class TestAmplifiedTest:
         b1 = plan(n, single)
         v = amplified_test(p, AliasSampler(q, seed_sequence(4, TAG_TRIAL, 0)), cfg)
         assert v.decision == DECISION_REJECT
-        assert v.q_samples_used <= 3 * b1.q_sample_budget
-        assert v.q_samples_used > b1.q_sample_budget  # more than one trial
+        # a uniform p skips the coarse stage: each trial draws S samples
+        assert v.q_samples_used == 3 * b1.S
         query_audit(v, n, cfg)
 
     def test_nine_trial_majority_math(self):
@@ -478,6 +502,35 @@ class TestQueryAudit:
         with pytest.raises(BudgetExceeded):
             query_audit(bogus, 128, cfg)
 
+    @pytest.mark.parametrize("pmf", [uniform_pmf, zipf_pmf])
+    @pytest.mark.parametrize("field", ["m1", "s1", "s2", "S", "capped"])
+    def test_sizes_off_the_plan_raise(self, pmf, field):
+        p = pmf(128)
+        cfg = TesterConfig(eps=0.5, master_seed=1)
+        v = identity_test(p, AliasSampler(p, seed_sequence(1, TAG_TRIAL, 0)), cfg)
+        query_audit(v, 128, cfg)
+        size = v.sizes[field]
+        tampered = [not size[0], *size[1:]] if field == "capped" else size + 1
+        bogus = dataclasses.replace(v, sizes={**v.sizes, field: tampered})
+        with pytest.raises(BudgetExceeded, match="neither the plan"):
+            query_audit(bogus, 128, cfg)
+
+    @pytest.mark.parametrize("field", ["q_samples_used", "p_queries_used"])
+    def test_constant_p_run_over_its_collision_sample_raises(self, field):
+        # a coarse-free verdict is audited against S per trial, not against
+        # m1 + s1 + S
+        p = uniform_pmf(128)
+        cfg = TesterConfig(eps=0.5, master_seed=1, trials_for_amplification=3)
+        v = amplified_test(p, AliasSampler(p, seed_sequence(1, TAG_TRIAL, 0)), cfg)
+        b = plan(128, cfg)
+        assert v.sizes["S"] == b.S and v.q_samples_used == 3 * b.S
+        rep = query_audit(v, 128, cfg)
+        assert rep.q_sample_budget == rep.p_query_budget == 3 * b.S
+        over = dataclasses.replace(v, **{field: 3 * b.S + 1})
+        assert 3 * b.S + 1 <= 3 * b.q_sample_budget
+        with pytest.raises(BudgetExceeded, match=f"> budget {3 * b.S}"):
+            query_audit(over, 128, cfg)
+
     def test_passing_report_fields(self):
         p = uniform_pmf(128)
         cfg = TesterConfig(eps=0.5, master_seed=2)
@@ -488,29 +541,65 @@ class TestQueryAudit:
         assert rep.budget_over_n > 0
 
 
+def unit_vector_of_constant(p, scheme):
+    """e_b for p's constant value c, with b = min(searchsorted(c), k), the
+    bucket contract itself."""
+    b = min(int(np.searchsorted(scheme.boundaries, p.constant, side="left")), scheme.k)
+    e_b = np.zeros(scheme.k + 1)
+    e_b[b] = 1.0
+    return e_b
+
+
+def constant_p_instance(n, kind, seed):
+    p = uniform_pmf(n)
+    if kind == "self":
+        return p, p
+    if kind == "eps-perturbed":
+        return p, perturbed_pmf(n, 0.5, seed)
+    return p, generate_instance("random-half", n, seed)[1]
+
+
 class TestConstantPmfPath:
-    """A constant p's fast lookups give the verdicts of the gathering path."""
+    """A constant p skips the coarse stage: the stage could not reject it,
+    and its q_hat is p's bucket unit vector whatever q is."""
 
     @pytest.mark.parametrize("n", [400, 1000, 4096])
     @pytest.mark.parametrize("kind", ["self", "eps-perturbed", "random-half"])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_verdict_and_audit_equal_the_slow_path(self, n, kind, seed):
-        p = uniform_pmf(n)
-        if kind == "self":
-            q = p
-        elif kind == "eps-perturbed":
-            q = perturbed_pmf(n, 0.5, seed)
-        else:
-            q = generate_instance("random-half", n, seed)[1]
-        slow = dataclasses.replace(p, constant=None)
-        assert p.constant is not None
+    def test_coarse_stage_is_vacuous_on_the_slow_path(self, n, kind, seed):
+        # the stage run on the gathering pmf, as before the skip
+        p, q = constant_p_instance(n, kind, seed)
+        scheme, sizes = tester._plan(n, 0.5)
+        cv = coarse_compare(
+            AliasSampler(q, seed_sequence(seed, TAG_TRIAL, 0)),
+            dataclasses.replace(p, constant=None),
+            scheme,
+            sizes,
+            spawn_rng(seed, TAG_PROBE, 0),
+        )
+        assert cv.case == CASE1
+        e_b = unit_vector_of_constant(p, scheme)
+        assert cv.estimates.q_hat.tobytes() == e_b.tobytes()
+        assert cv.estimates.heavy_mass.tobytes() == np.zeros(scheme.k + 1).tobytes()
+
+    @pytest.mark.parametrize("n", [400, 1000, 4096])
+    @pytest.mark.parametrize("kind", ["self", "eps-perturbed", "random-half"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_verdict_is_the_collision_test_on_the_unit_vector(self, n, kind, seed):
+        p, q = constant_p_instance(n, kind, seed)
         cfg = TesterConfig(eps=0.5, master_seed=seed)
-        texts = []
-        for pmf in (p, slow):
-            v = identity_test(pmf, AliasSampler(q, seed_sequence(seed, TAG_TRIAL, 0)), cfg)
-            payload = {
-                "verdict": v.to_dict(),
-                "audit": dataclasses.asdict(query_audit(v, n, cfg)),
-            }
-            texts.append(json.dumps(payload, sort_keys=True))
-        assert texts[0] == texts[1]
+        v = identity_test(p, AliasSampler(q, seed_sequence(seed, TAG_TRIAL, 0)), cfg)
+        # the direct route: collect_counts and moment_decide on e_b
+        scheme, sizes = tester._plan(n, 0.5)
+        stream = AliasSampler(q, seed_sequence(seed, TAG_TRIAL, 0))
+        counter = QueryCounter(p)
+        stats = collect_counts(stream, counter, scheme, sizes.S)
+        report = moment_decide(stats, unit_vector_of_constant(p, scheme), scheme, 0.5)
+        assert v.coarse is None
+        assert json.dumps(v.moment.to_dict()) == json.dumps(report.to_dict())
+        assert (v.q_samples_used, v.p_queries_used, v.distinct_p_queried) == (
+            stream.draws, counter.total, counter.distinct_count
+        )
+        assert v.sizes == {"m1": 0, "s1": 0, "s2": 0, "S": sizes.S,
+                           "capped": [False, False, False]}
+        query_audit(v, n, cfg)
