@@ -39,7 +39,6 @@ from .tester import (
     SCHEME_C,
     TesterConfig,
     identity_test,
-    plan,
     plan_sizes,
     query_audit,
 )
@@ -127,15 +126,15 @@ def _map_trials(worker, args: tuple, trials: int, jobs: int) -> list:
         return list(ex.map(partial(worker, *args), chunks))
 
 
-def _trial_batch(p, q, config, indices) -> list[tuple[bool, int, int]]:
-    """Tester runs for run_trials; (accepted, q_used, p_used) per index."""
+def _trial_batch(p, q, config, path: tuple, indices) -> list:
+    """Audited tester runs, (decision, AuditReport) per trial index t, each
+    on the q-stream seeded (config.master_seed, TAG_TRIAL, *path, t)."""
     proto = AliasSampler(q, 0)
     out = []
     for t in indices:
-        stream = proto.spawn(seed_sequence(config.master_seed, TAG_TRIAL, t))
+        stream = proto.spawn(seed_sequence(config.master_seed, TAG_TRIAL, *path, t))
         v = identity_test(p, stream, config, trial_index=t)
-        query_audit(v, p.n, config)
-        out.append((v.decision == DECISION_ACCEPT, v.q_samples_used, v.p_queries_used))
+        out.append((v.decision, query_audit(v, p.n, config)))
     return out
 
 
@@ -156,18 +155,18 @@ def run_trials(
         raise BadParams("need at least 30 trials for a meaningful interval")
     config = replace(config, master_seed=master_seed)
     batches = _map_trials(
-        _trial_batch, (instance.p, instance.q, config), trials, jobs
+        _trial_batch, (instance.p, instance.q, config, ()), trials, jobs
     )
-    results = [r for batch in batches for r in batch]
-    accepts = sum(1 for acc, _, _ in results if acc)
+    runs = [r for batch in batches for r in batch]
+    accepts = sum(d == DECISION_ACCEPT for d, _ in runs)
     return TrialReport(
         instance=instance.descriptor(),
         trials=trials,
         accepts=accepts,
         accept_rate=accepts / trials,
         wilson=wilson_interval(accepts, trials),
-        mean_q_samples=float(np.mean([q for _, q, _ in results])),
-        mean_p_queries=float(np.mean([p for _, _, p in results])),
+        mean_q_samples=float(np.mean([a.q_samples_used for _, a in runs])),
+        mean_p_queries=float(np.mean([a.p_queries_used for _, a in runs])),
         audits_ok=True,  # query_audit raises on violation
         master_seed=master_seed,
     )
@@ -259,67 +258,57 @@ def lemma_check(
     sizes = plan_sizes(scheme, delta, False)
 
     zipf = zipf_pmf(n)
-    case1_shapes = {
-        "uniform": uniform_pmf(n),
-        "zipf": zipf,
-        "eps-perturbed-self": perturbed_pmf(n, 0.5, master_seed),
+    case1_pairs = {
+        "uniform": (uniform_pmf(n),) * 2,
+        "zipf": (zipf, zipf),
+        "eps-perturbed-self": (perturbed_pmf(n, 0.5, master_seed),) * 2,
     }
 
     masses = exact_bucket_masses(scheme, zipf)
     heavy_j = int(np.argmax(masses[scheme.j_star :]) + scheme.j_star)
-    light = np.argsort(masses[: scheme.j_star])[::-1][:2]
-    donor = int(light[0])
-    light_recv = int(light[1])
-    case2_shapes = {
-        "shift-into-heavy": shifted_bucket_pair(zipf, scheme, delta / 2, donor, heavy_j),
-        "shift-light-to-light": shifted_bucket_pair(
-            zipf, scheme, delta / 2, donor, light_recv
-        ),
+    donor, light_recv = (int(j) for j in np.argsort(masses[: scheme.j_star])[::-1][:2])
+
+    def shifted(mass, receiver):  # q = zipf with `mass` moved out of the donor
+        return zipf, shifted_bucket_pair(zipf, scheme, mass, donor, receiver)
+
+    case2_pairs = {
+        "shift-into-heavy": shifted(delta / 2, heavy_j),
+        "shift-light-to-light": shifted(delta / 2, light_recv),
     }
 
-    def run_family(name, shapes, want, per_trials, gate):
-        shape_stats, bucket_l1 = {}, {}
-        total_succ = 0
-        for i, (sname, q) in enumerate(shapes.items()):
-            base_p = shapes[sname] if want == CASE1 else zipf
-            P = exact_bucket_masses(scheme, base_p)
-            Q = exact_bucket_masses(scheme, base_p, weight_pmf=q)
-            bl1 = float(np.abs(P - Q).sum())
-            bucket_l1[sname] = bl1
-            if not gate(bl1):
-                raise InvariantViolated(
-                    f"{name}/{sname}: oracle gate failed, bucket l1 = {bl1}"
-                )
-            args = (base_p, q, scheme, sizes, want, master_seed + 7919 * (i + 1))
-            succ = sum(_map_trials(_comparator_batch, args, per_trials, jobs))
-            total_succ += succ
-            shape_stats[sname] = {
-                "trials": per_trials,
-                "successes": succ,
-                "rate": succ / per_trials,
-                "wilson_lo": wilson_interval(succ, per_trials)[0],
-            }
-        total = per_trials * len(shapes)
-        lo, hi = wilson_interval(total_succ, total)
+    def run_pair(label, p, q, want, pair_trials, seed, gate):
+        """(bucket l1, runs that decided want) of (p, q), gated on that l1."""
+        P = exact_bucket_masses(scheme, p)
+        Q = exact_bucket_masses(scheme, p, weight_pmf=q)
+        bl1 = float(np.abs(P - Q).sum())
+        if not gate(bl1):
+            raise InvariantViolated(f"{label}: oracle gate failed, bucket l1 = {bl1}")
+        args = (p, q, scheme, sizes, want, seed)
+        return bl1, sum(_map_trials(_comparator_batch, args, pair_trials, jobs))
+
+    def run_family(name, pairs, want, gate):
+        per = max(1, trials // len(pairs))
+        shapes, bucket_l1 = {}, {}
+        for i, (sname, (p, q)) in enumerate(pairs.items()):
+            label, seed = f"{name}/{sname}", master_seed + 7919 * (i + 1)
+            bucket_l1[sname], succ = run_pair(label, p, q, want, per, seed, gate)
+            shapes[sname] = {"trials": per, "successes": succ, "rate": succ / per,
+                             "wilson_lo": wilson_interval(succ, per)[0]}
+        succ, total = sum(s["successes"] for s in shapes.values()), per * len(pairs)
+        lo, hi = wilson_interval(succ, total)
         return {
             "name": name,
             "trials": total,
-            "successes": total_succ,
-            "rate": total_succ / total,
+            "successes": succ,
+            "rate": succ / total,
             "wilson_lo": lo,
             "wilson_hi": hi,
-            "shapes": shape_stats,
+            "shapes": shapes,
             "bucket_l1": bucket_l1,
         }
 
-    per1 = max(1, trials // len(case1_shapes))
-    per2 = max(1, trials // len(case2_shapes))
-    case1 = run_family(
-        "case1", case1_shapes, CASE1, per1, gate=lambda d: d <= 1e-12
-    )
-    case2 = run_family(
-        "case2", case2_shapes, CASE2, per2, gate=lambda d: d >= delta - 1e-9
-    )
+    case1 = run_family("case1", case1_pairs, CASE1, gate=lambda d: d <= 1e-12)
+    case2 = run_family("case2", case2_pairs, CASE2, gate=lambda d: d >= delta - 1e-9)
     report = {
         "n": n,
         "delta": delta,
@@ -333,14 +322,11 @@ def lemma_check(
         "case2": case2,
     }
     if include_gap:
-        gap_q = shifted_bucket_pair(zipf, scheme, delta / 4, donor, heavy_j)
         gap_trials = max(30, trials // 3)
-        args = (zipf, gap_q, scheme, sizes, CASE1, master_seed + 104729)
-        succ = sum(_map_trials(_comparator_batch, args, gap_trials, jobs))
-        P = exact_bucket_masses(scheme, zipf)
-        Q = exact_bucket_masses(scheme, zipf, weight_pmf=gap_q)
+        bl1, succ = run_pair("gap", *shifted(delta / 4, heavy_j), CASE1, gap_trials,
+                             master_seed + 104729, gate=lambda d: True)
         report["gap"] = {
-            "bucket_l1": float(np.abs(P - Q).sum()),
+            "bucket_l1": bl1,
             "trials": gap_trials,
             "case1_rate": succ / gap_trials,
             "note": "distance inside the promise gap; no guarantee applies",
@@ -412,6 +398,7 @@ def scaling_experiment(
     The efficient tester's fitted log-log slope lands near 0.5 (plus log
     drift); the baseline's near 1 because its O(n) scan dominates.
     slope_wall fits the tester's wall time per run (wall_ms) the same way.
+    A row's budget is the p-query budget its runs are audited against.
     A grid with fewer than two distinct n gets no fit: each slope is None.
     """
     n_grid = [int(n) for n in n_grid]
@@ -419,31 +406,24 @@ def scaling_experiment(
         raise BadParams("empty n grid")
     if trials_per_point < 1:
         raise BadParams("trials_per_point must be >= 1")
-    config = TesterConfig(eps=eps)
+    config = TesterConfig(eps=eps, master_seed=master_seed)
     rows = []
     for n in n_grid:
         inst = make_instance("identical-uniform", n, seed=master_seed)
-        proto = AliasSampler(inst.q, 0)
-        totals, q_tot, p_tot = [], [], []
         t0 = time.perf_counter()
-        for t in range(trials_per_point):
-            stream = proto.spawn(seed_sequence(master_seed, TAG_TRIAL, n, t))
-            cfg_t = replace(config, master_seed=master_seed + n + t)
-            v = identity_test(inst.p, stream, cfg_t, trial_index=t)
-            query_audit(v, n, cfg_t)
-            q_tot.append(v.q_samples_used)
-            p_tot.append(v.p_queries_used)
-            totals.append(v.q_samples_used + v.p_queries_used)
+        runs = _trial_batch(inst.p, inst.q, config, (n,), range(trials_per_point))
         wall_ms = (time.perf_counter() - t0) * 1000.0 / trials_per_point
-        bstream = proto.spawn(seed_sequence(master_seed, TAG_TRIAL, n, 999))
+        q_used = np.array([a.q_samples_used for _, a in runs])
+        p_used = np.array([a.p_queries_used for _, a in runs])
+        bstream = AliasSampler(inst.q, seed_sequence(master_seed, TAG_TRIAL, n, 999))
         bres = baseline_identity_test(inst.p, bstream, eps)
         rows.append(
             {
                 "n": n,
-                "q_samples": float(np.mean(q_tot)),
-                "p_queries": float(np.mean(p_tot)),
-                "total": float(np.mean(totals)),
-                "budget": plan(n, config).p_query_budget,
+                "q_samples": float(q_used.mean()),
+                "p_queries": float(p_used.mean()),
+                "total": float((q_used + p_used).mean()),
+                "budget": runs[0][1].p_query_budget,
                 "baseline_total": bres["q_samples_used"] + bres["p_queries_used"],
                 "wall_ms": wall_ms,
             }

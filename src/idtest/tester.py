@@ -339,9 +339,10 @@ class AuditReport:
 def query_audit(verdict: Verdict, n: int, config: TesterConfig) -> AuditReport:
     """Assert the run stayed inside its closed-form work budget.
 
-    The verdict's sizes must be plan(n, config) or, for a constant p, its
-    coarse-free form (m1 = s1 = s2 = 0, the same S). Then, per
-    amplification trial, at those sizes:
+    The verdict's sizes must be the plan form its route implies:
+    plan(n, config) when the coarse stage ran, and its coarse-free form
+    (m1 = s1 = s2 = 0, the same S) when a constant p skipped it (coarse is
+    None). Then, per amplification trial, at those sizes:
       - q-samples <= m1 + s1 + S
       - p-queries <= m1 + s1 + s2 + S and <= q-samples + s2
       - distinct p-indices touched <= q-samples + s2 (no domain scan)
@@ -349,14 +350,11 @@ def query_audit(verdict: Verdict, n: int, config: TesterConfig) -> AuditReport:
     A violation raises BudgetExceeded: that is a tester bug, never an
     input condition.
     """
-    full = plan(n, config)
-    for budget in (full, full.coarse_free):
-        if budget.to_dict() == verdict.sizes:
-            break
-    else:
-        raise BudgetExceeded(
-            f"sizes {verdict.sizes} are neither the plan at n = {n} nor its coarse-free form"
-        )
+    budget, form = plan(n, config), "plan"
+    if verdict.coarse is None:
+        budget, form = budget.coarse_free, "plan's coarse-free form"
+    if budget.to_dict() != verdict.sizes:
+        raise BudgetExceeded(f"sizes {verdict.sizes} are not the {form} at n = {n}")
     trials = config.trials_for_amplification
     q_budget = budget.q_sample_budget * trials
     p_budget = budget.p_query_budget * trials

@@ -1,6 +1,8 @@
 """Tests for the statistical harness: trials, comparator checks and
 scaling."""
 
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -24,7 +26,7 @@ from idtest.harness import (
 )
 from idtest.rng import TAG_TRIAL, seed_sequence
 from idtest.distributions import AliasSampler
-from idtest.tester import TesterConfig, plan_sizes
+from idtest.tester import TesterConfig, plan, plan_sizes
 
 
 class TestWilsonInterval:
@@ -160,6 +162,19 @@ class TestLemmaCheck:
         b = lemma_check(100, 0.4, trials=45, master_seed=3)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "include_gap, digest",
+        [
+            (True, "cba32d3d1db91cb724746625c3970c4d0f6e6f61d794e0405f4a4544d92a7a47"),
+            (False, "a720905c73d0fb4d3843552f75dd39d72ab271a7780ddb1da993c6199a5f0077"),
+        ],
+    )
+    def test_report_is_pinned(self, include_gap, digest):
+        # every seed, count and oracle value of the report, byte for byte
+        rep = lemma_check(100, 0.4, trials=45, master_seed=3, include_gap=include_gap)
+        text = json.dumps(rep, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == digest
+
     def test_jobs_do_not_change_results(self):
         a = lemma_check(100, 0.4, trials=40, master_seed=4, jobs=2)
         b = lemma_check(100, 0.4, trials=40, master_seed=4)
@@ -254,6 +269,19 @@ class TestScalingExperiment:
         for row in out["rows"]:
             assert row["q_samples"] > 0 and row["p_queries"] > 0
             assert row["baseline_total"] >= row["n"]
+
+    def test_work_columns_are_pinned(self):
+        out = scaling_experiment([256, 1024], 0.5, trials_per_point=1, master_seed=2)
+        got = [(r["q_samples"], r["p_queries"], r["baseline_total"]) for r in out["rows"]]
+        assert got == [(1066.0, 237.0, 512), (2663.0, 738.0, 1280)]
+
+    def test_budget_is_the_audited_budget(self):
+        # the grid is uniform, so each run is audited against S alone
+        cfg = TesterConfig(eps=0.5)
+        out = scaling_experiment([256, 1024], 0.5, trials_per_point=1, master_seed=2)
+        for row in out["rows"]:
+            assert row["budget"] == plan(row["n"], cfg).S
+            assert row["p_queries"] <= row["budget"]
 
     def test_singleton_grid_no_fit(self):
         out = scaling_experiment([512], 0.5, trials_per_point=1, master_seed=0)

@@ -512,7 +512,19 @@ class TestQueryAudit:
         size = v.sizes[field]
         tampered = [not size[0], *size[1:]] if field == "capped" else size + 1
         bogus = dataclasses.replace(v, sizes={**v.sizes, field: tampered})
-        with pytest.raises(BudgetExceeded, match="neither the plan"):
+        with pytest.raises(BudgetExceeded, match="are not the plan"):
+            query_audit(bogus, 128, cfg)
+
+    def test_constant_p_run_at_the_full_plan_raises(self):
+        # 660 q-samples would pass a budget of m1 + s1 + S = 2,578: the
+        # route (coarse stage skipped) fixes the form, not the sizes alone
+        p = uniform_pmf(128)
+        cfg = TesterConfig(eps=0.5, master_seed=1)
+        v = identity_test(p, AliasSampler(p, seed_sequence(1, TAG_TRIAL, 0)), cfg)
+        full = plan(128, cfg)
+        assert v.coarse is None and v.q_samples_used == 660 < full.q_sample_budget == 2578
+        bogus = dataclasses.replace(v, sizes=full.to_dict())
+        with pytest.raises(BudgetExceeded, match="are not the plan's coarse-free form"):
             query_audit(bogus, 128, cfg)
 
     @pytest.mark.parametrize("field", ["q_samples_used", "p_queries_used"])
