@@ -55,7 +55,6 @@ class BucketScheme:
     """
 
     n: int
-    eps: float
     C: float
     eps_prime: float
     k: int
@@ -148,7 +147,6 @@ def _build_scheme(n: int, eps: float, C: float) -> BucketScheme:
     cell_upper.flags.writeable = False
     return BucketScheme(
         n=n,
-        eps=eps,
         C=C,
         eps_prime=eps_prime,
         k=int(k),

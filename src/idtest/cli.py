@@ -115,8 +115,6 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     seed = _seed_of(args)
     grid = _number_list(args.n_grid, int, "--n-grid")
-    if not grid:
-        raise IdTestError("empty n grid")
     result = scaling_experiment(
         grid, args.eps, trials_per_point=args.trials_per_point, master_seed=seed
     )

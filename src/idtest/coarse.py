@@ -24,16 +24,15 @@ results are bit-equal to one pass over the whole phase: integer counts
 add exactly, and np.add.at accumulates the probe contributions in input
 order, as bincount(weights=) does.
 
-A block that p answers with one value (a constant pmf's zero-stride
-lookup) is bucketed once, and the q-frequency and probe phases work on
-that one value: their counts and probe sums are those of the element-wise
-path, bit for bit, and the p-queries are still one per index. The heavy
-phase needs no branch of its own: it buckets the draws as drawn and returns
-zeros when none is heavy, which a uniform p never is (1/n < 1/sqrt(n)), so
-it sorts nothing then and only the heavy draws otherwise.
-
 identity_test does not run this stage on a constant p, which cannot fail
-it (see tester); lemma_check's uniform Case-1 shape still runs it on one.
+it (see tester); lemma_check's uniform Case-1 shape still runs it on one,
+and that shape alone pays for the probe phase's one-value path: a block
+that p answers with one value (a constant pmf's zero-stride lookup) is
+bucketed, checked and scaled once, its probe sums bit-equal to the
+element-wise ones, and the p-queries are still one per index. The other
+phases have no branch of their own: bucket_indices answers a one-value
+block with one scalar search, and the heavy phase returns zeros when no
+draw is heavy, which a uniform p never is (1/n < 1/sqrt(n)).
 
 coarse_compare runs the phases at the sizes of a tester.Plan. The module
 holds no configuration and does no sizing of its own: callers size a run
@@ -118,12 +117,7 @@ def estimate_q(
         # its temporaries in again (3,688 against 864 faults at n = 400)
         draws = source.draw_many(min(_BLOCK, m - a))
         pv = p.lookup(draws)
-        if _one_value(pv):
-            counts[bucket_indices(scheme, pv[:1])[0]] += pv.size
-        else:
-            counts += np.bincount(
-                bucket_indices(scheme, pv), minlength=scheme.k + 1
-            )
+        counts += np.bincount(bucket_indices(scheme, pv), minlength=scheme.k + 1)
     return counts / float(m)
 
 

@@ -151,10 +151,6 @@ def _sort_runs(keys: np.ndarray) -> np.ndarray:
 # the same 16 bytes, so it costs one gather and one cache line, not two.
 _ALIAS_ROW = np.dtype([("accept", "<f8"), ("alias", "<i8")])
 
-# Rows written per block by _build_alias_tables: a block of 2^15 rows
-# (512 KB) stays in cache.
-_FILL_BLOCK = 2**15
-
 # The table of a constant pmf. Its full form is the identity table (accept
 # 1.0, alias i), under which every draw keeps its index; zero rows stand for
 # it, as a real table has n >= 1 rows.
@@ -166,21 +162,19 @@ def _build_alias_tables(probs: np.ndarray) -> np.ndarray:
 
     Row i is (accept[i], alias[i]): a draw of i keeps i when its
     acceptance coin falls below accept[i] and returns alias[i] otherwise.
-    Blocks of _FILL_BLOCK rows are first written as the identity (accept
-    1.0, alias to itself), with no O(n) temporary. Then the small (scaled =
-    probs * n < 1) and large entries are paired: the Python pairing loop
-    runs on plain lists and floats, and its results are written back with
-    one fancy assignment per column. An entry left over when either side
-    runs dry is 1.0 up to rounding and keeps its initial row, so a pmf
-    whose entries all lie on one side of 1/n keeps the identity table.
+    The table is first written as the identity (accept 1.0, alias to
+    itself). Then the small (scaled = probs * n < 1) and large entries are
+    paired: the Python pairing loop runs on plain lists and floats, and its
+    results are written back with one fancy assignment per column. An entry
+    left over when either side runs dry is 1.0 up to rounding and keeps its
+    initial row, so a pmf whose entries all lie on one side of 1/n keeps the
+    identity table.
     """
     n = probs.shape[0]
     table = np.empty(n, dtype=_ALIAS_ROW)
     accept, alias = table["accept"], table["alias"]
-    for lo in range(0, n, _FILL_BLOCK):
-        hi = min(lo + _FILL_BLOCK, n)
-        accept[lo:hi] = 1.0
-        alias[lo:hi] = np.arange(lo, hi)
+    accept[:] = 1.0
+    alias[:] = np.arange(n)
     scaled = probs * n
     is_small = scaled < 1.0
     small = np.flatnonzero(is_small).tolist()

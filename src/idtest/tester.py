@@ -92,12 +92,8 @@ class QueryCounter:
         self._queried: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
 
     @property
-    def n(self) -> int:
-        return self._pmf.n
-
-    @property
     def distinct_count(self) -> int:
-        queried = np.concatenate(self._queried, dtype=_key_dtype(self.n))
+        queried = np.concatenate(self._queried, dtype=_key_dtype(self._pmf.n))
         return queried.size - int(np.count_nonzero(_sort_runs(queried)))
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:

@@ -261,6 +261,16 @@ class TestTest:
         assert code == 0
         assert json.loads(out)["config"]["trials_for_amplification"] == 3
 
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        pmf = make_uniform_pmf_file(tmp_path, 256)
+        dest = tmp_path / "verdict.json"
+        code, out, _ = run_cli(
+            capsys, "test", "--pmf", str(pmf), "--q", "self", "--eps", "0.5",
+            "--seed", "3", "--out", str(dest),
+        )
+        assert code == 0
+        assert dest.read_bytes() == out.encode()
+
 
 class TestOracle:
     def test_l1(self, tmp_path, capsys):
@@ -332,6 +342,19 @@ class TestBench:
             capsys, "bench", "--n-grid", ",", "--eps", "0.5", "--seed", "1"
         )
         assert code == 2
+
+    def test_empty_grid_names_the_grid(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--n-grid", ",", "--eps", "0.5")
+        assert (code, out, err) == (2, "", "error: empty n grid\n")
+
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        dest = tmp_path / "bench.csv"
+        code, out, _ = run_cli(
+            capsys, "bench", "--n-grid", "256,1024", "--eps", "0.5", "--seed", "1",
+            "--trials-per-point", "1", "--no-timing", "--out", str(dest),
+        )
+        assert code == 0
+        assert dest.read_bytes() == out.encode()
 
 
 class TestLemmaCheckCommand:

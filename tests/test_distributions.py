@@ -12,7 +12,6 @@ from idtest import distributions
 from idtest.distributions import (
     AliasSampler,
     _ALIAS_ROW,
-    _FILL_BLOCK,
     _build_alias_tables,
     FileSampleStream,
     generate_instance,
@@ -229,7 +228,7 @@ class TestAliasSampler:
         assert_table_matches_reference(p.probs)
 
     @pytest.mark.parametrize(
-        "n", [_FILL_BLOCK - 1, _FILL_BLOCK, _FILL_BLOCK + 1, 2 * _FILL_BLOCK + 3]
+        "n", [2**15 - 1, 2**15, 2**15 + 1, 2 * 2**15 + 3]
     )
     @pytest.mark.parametrize(
         "make_pmf",
@@ -237,7 +236,7 @@ class TestAliasSampler:
         ids=["uniform", "zipf", "perturbed"],
     )
     def test_tables_match_reference_across_fill_blocks(self, make_pmf, n):
-        # the blocked fill and count must not drop or repeat a row at an edge
+        # no row may be dropped or repeated at sizes that straddle a power of two
         assert_table_matches_reference(make_pmf(n).probs)
 
     @pytest.mark.parametrize(

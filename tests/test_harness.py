@@ -10,7 +10,7 @@ import pytest
 
 from idtest import harness
 from idtest.bucketing import MAX_BUDGET, build_scheme, exact_bucket_masses
-from idtest.distributions import zipf_pmf
+from idtest.distributions import uniform_pmf, zipf_pmf
 from idtest.errors import BadParams, InvariantViolated
 from idtest.harness import (
     LEMMA_SCHEME_C,
@@ -259,6 +259,20 @@ class TestBaseline:
         stream = AliasSampler(inst.q, seed_sequence(1, TAG_TRIAL, 0))
         res = baseline_identity_test(inst.p, stream, 0.5)
         assert res["p_queries_used"] == 512
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mass_compare_rejects_before_the_collision_sample(self, seed):
+        # zipf's bucket masses are far from uniform q's 128-sample estimate:
+        # the baseline rejects on them and draws no collision sample
+        res = baseline_identity_test(
+            zipf_pmf(400), AliasSampler(uniform_pmf(400), seed), 0.5
+        )
+        assert res == {
+            "decision": "reject",
+            "stage": "mass-compare",
+            "q_samples_used": 128,
+            "p_queries_used": 400,
+        }
 
 
 class TestScalingExperiment:

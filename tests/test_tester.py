@@ -502,6 +502,17 @@ class TestQueryAudit:
         with pytest.raises(BudgetExceeded):
             query_audit(bogus, 128, cfg)
 
+    def test_distinct_indices_over_samples_raise(self):
+        # a uniform run skips the coarse stage (s2 = 0): it can touch at most
+        # one distinct p-index per q-sample
+        p = uniform_pmf(128)
+        cfg = TesterConfig(eps=0.5, master_seed=1)
+        v = identity_test(p, AliasSampler(p, seed_sequence(1, TAG_TRIAL, 0)), cfg)
+        query_audit(v, 128, cfg)
+        bogus = dataclasses.replace(v, distinct_p_queried=v.q_samples_used + 1)
+        with pytest.raises(BudgetExceeded, match="distinct p-indices exceed"):
+            query_audit(bogus, 128, cfg)
+
     @pytest.mark.parametrize("pmf", [uniform_pmf, zipf_pmf])
     @pytest.mark.parametrize("field", ["m1", "s1", "s2", "S", "capped"])
     def test_sizes_off_the_plan_raise(self, pmf, field):
