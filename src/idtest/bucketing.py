@@ -55,10 +55,8 @@ class BucketScheme:
     """
 
     n: int
-    C: float
     eps_prime: float
     k: int
-    base: float
     j_star: int
     # boundaries[j] = base * (1+eps')**j, the inclusive upper bound of R_j
     boundaries: np.ndarray = field(repr=False)
@@ -147,10 +145,8 @@ def _build_scheme(n: int, eps: float, C: float) -> BucketScheme:
     cell_upper.flags.writeable = False
     return BucketScheme(
         n=n,
-        C=C,
         eps_prime=eps_prime,
         k=int(k),
-        base=base,
         j_star=j_star,
         boundaries=boundaries,
         cell_shift=shift,

@@ -30,11 +30,14 @@ from .tester import (
 )
 
 
-def _emit(obj, out_path=None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out_path=None) -> None:
     sys.stdout.write(text)
     if out_path:
         Path(out_path).write_text(text)
+
+
+def _emit(obj, out_path=None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
 
 
 def _seed_of(args) -> int:
@@ -133,10 +136,7 @@ def cmd_bench(args) -> int:
         )
     else:
         lines.append(f"# one distinct n, no fit; seed={seed}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -161,7 +161,7 @@ def cmd_oracle(args) -> int:
         {
             "n": p.n,
             "eps": args.eps,
-            "C": scheme.C,
+            "C": args.c,
             "k": scheme.k,
             "j_star": scheme.j_star,
             "j_star_degenerate": scheme.j_star_degenerate,

@@ -69,21 +69,9 @@ class Instance:
     """A (p, q) pair plus its oracle-confirmed l1 distance."""
 
     kind: str
-    n: int
-    seed: int
-    params: dict
     p: ProbabilityVector
     q: ProbabilityVector
     distance: float
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "seed": self.seed,
-            "params": self.params,
-            "l1_distance": self.distance,
-        }
 
 
 def make_instance(kind: str, n: int, seed: int, **params) -> Instance:
@@ -95,20 +83,17 @@ def make_instance(kind: str, n: int, seed: int, **params) -> Instance:
         raise InvariantViolated(
             f"{kind}: oracle distance {dist} != advertised {target}"
         )
-    return Instance(kind, n, seed, dict(params), p, q, dist)
+    return Instance(kind, p, q, dist)
 
 
 @dataclass(frozen=True)
 class TrialReport:
-    instance: dict
     trials: int
     accepts: int
     accept_rate: float
     wilson: tuple[float, float]
     mean_q_samples: float
-    mean_p_queries: float
     audits_ok: bool
-    master_seed: int
 
 
 def _map_trials(worker, args: tuple, trials: int, jobs: int) -> list:
@@ -160,15 +145,12 @@ def run_trials(
     runs = [r for batch in batches for r in batch]
     accepts = sum(d == DECISION_ACCEPT for d, _ in runs)
     return TrialReport(
-        instance=instance.descriptor(),
         trials=trials,
         accepts=accepts,
         accept_rate=accepts / trials,
         wilson=wilson_interval(accepts, trials),
         mean_q_samples=float(np.mean([a.q_samples_used for _, a in runs])),
-        mean_p_queries=float(np.mean([a.p_queries_used for _, a in runs])),
         audits_ok=True,  # query_audit raises on violation
-        master_seed=master_seed,
     )
 
 

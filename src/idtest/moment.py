@@ -37,8 +37,9 @@ class CollisionStats:
     per_bucket_stat: np.ndarray
 
 
-def sample_pairs(s: int) -> float:
-    """C(s, 2) in floating point, overflow-safe for large s."""
+def sample_pairs(s):
+    """C(s, 2) in floating point, of an int or of each entry of an int
+    array; overflow-safe for a large int."""
     return s * (s - 1) / 2.0
 
 
@@ -74,8 +75,7 @@ def collect_counts(
     rise, fall = np.flatnonzero(repeat[1:] != repeat[:-1]).reshape(-1, 2).T
     occ = fall - rise + 1
     buckets = bucket_indices(scheme, p.lookup(draws[rise]))
-    pairs = occ * (occ - 1) / 2.0
-    stat = np.bincount(buckets, weights=pairs, minlength=scheme.k + 1)
+    stat = np.bincount(buckets, weights=sample_pairs(occ), minlength=scheme.k + 1)
     return CollisionStats(total_samples=S, per_bucket_stat=stat)
 
 

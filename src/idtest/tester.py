@@ -62,12 +62,16 @@ class TesterConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
+            integral = f.name != "eps"  # the trial count and the seed
             if (
-                not isinstance(v, numbers.Real)
+                not isinstance(v, numbers.Integral if integral else numbers.Real)
                 or isinstance(v, bool)
                 or not (isinstance(v, numbers.Integral) or math.isfinite(v))
             ):
-                raise BadParams(f"{f.name} must be a finite number, got {v!r}")
+                what = "an integer" if integral else "a finite number"
+                raise BadParams(f"{f.name} must be {what}, got {v!r}")
+            if integral:  # a numpy integer is echoed as a JSON-ready int
+                object.__setattr__(self, f.name, int(v))
         if not 0.0 < self.eps <= 2.0:
             raise BadParams("eps must be in (0, 2]")
         t = self.trials_for_amplification

@@ -196,7 +196,7 @@ class TestCriterion6OracleSuite:
                     prob = p.probs[i]
                     for j in range(s.k + 1):
                         low = -math.inf if j == 0 else s.boundaries[j - 1]
-                        if low < prob <= s.boundaries[j] or (j == 0 and prob <= s.base):
+                        if low < prob <= s.boundaries[j] or (j == 0 and prob <= s.boundaries[0]):
                             slow[j] += prob
                             break
                 assert np.allclose(fast, slow, atol=1e-12)

@@ -30,7 +30,7 @@ from idtest.tester import SCHEME_C
 def membership_predicate(scheme, prob, j):
     """The defining predicate, written independently of bucket_indices."""
     if j == 0:
-        return prob <= scheme.base
+        return prob <= scheme.boundaries[0]
     return scheme.boundaries[j - 1] < prob <= scheme.boundaries[j]
 
 
@@ -40,7 +40,7 @@ class TestBuildScheme:
         assert s.eps_prime == pytest.approx(0.005)
         assert s.k == 1668  # ceil(ln 4096 / ln 1.005)
         assert s.j_star == 973  # bucket of 1/32, ratio 2*sqrt(n)/eps = 128
-        assert s.base == pytest.approx(0.5 / 2048)
+        assert s.boundaries[0] == pytest.approx(0.5 / 2048)
 
     def test_k_matches_formula(self):
         for n, eps, C in [(1024, 0.5, 100.0), (400, 2.0, 1.0), (10**4, 0.1, 10.0)]:
@@ -98,7 +98,7 @@ class TestBucketIndex:
         # upper boundaries belong to their bucket: base -> 0,
         # base*(1+eps') -> 1
         s = build_scheme(100, 0.5, 10.0)
-        assert bucket_indices(s, [s.base, s.base * (1.0 + s.eps_prime)]).tolist() == [0, 1]
+        assert bucket_indices(s, [s.boundaries[0], s.boundaries[0] * (1.0 + s.eps_prime)]).tolist() == [0, 1]
 
     def test_reference_upper_value(self):
         s = build_scheme(1024, 0.5, 100.0)
@@ -146,7 +146,7 @@ class TestBucketIndex:
             [0.0, -0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0)],
             b, np.nextafter(b, 0.0), np.nextafter(b, np.inf),
             rng.random(500),
-            np.exp(rng.uniform(np.log(s.base / 4), np.log(2.0), 500)),
+            np.exp(rng.uniform(np.log(s.boundaries[0] / 4), np.log(2.0), 500)),
         ])
         want = np.minimum(np.searchsorted(b, probs, side="left"), s.k)
         assert np.array_equal(bucket_indices(s, probs), want)
@@ -218,7 +218,7 @@ class TestBucketIndex:
 class TestBucketUpper:
     def test_j_zero_is_base(self):
         s = build_scheme(64, 1.0, 4.0)
-        assert s.boundaries[0] == s.base
+        assert s.boundaries[0] == 1.0 / 128  # eps/(2n)
 
 
 def brute_force_masses(scheme, p):

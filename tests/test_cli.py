@@ -1,16 +1,11 @@
 """CLI behaviour: exit codes, JSON output, file handling, determinism."""
 
-import ast
 import contextlib
 import dataclasses
 import io
 import json
-import os
 import struct
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -669,33 +664,3 @@ def test_exit_code_fuzz(tmp_path_factory, data, command, p_bytes, q_bytes):
     else:
         assert code == 0 and out.getvalue()
 
-
-class TestOptimizedMode:
-    def test_no_assert_statements(self):
-        # invariants must raise, so that they also hold under python -O
-        src = Path(idtest.__file__).parent
-        found = [
-            f"{path.name}:{node.lineno}"
-            for path in sorted(src.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Assert)
-        ]
-        assert found == []
-
-    def test_dash_o_output_byte_identical(self, tmp_path):
-        from idtest.distributions import zipf_pmf
-        from idtest.io import write_pmf
-
-        pmf = tmp_path / "z.pmf"
-        write_pmf(pmf, zipf_pmf(256))
-        env = {**os.environ, "PYTHONPATH": str(Path(idtest.__file__).parent.parent)}
-        argv = ["-m", "idtest.cli", "test", "--pmf", str(pmf), "--q", "self",
-                "--eps", "0.5", "--seed", "1"]
-        plain, optimized = (
-            subprocess.run([sys.executable, *flags, *argv], env=env,
-                           capture_output=True, check=False)
-            for flags in ([], ["-O"])
-        )
-        assert plain.returncode in (0, 1)
-        assert plain.stdout and optimized.stdout == plain.stdout
-        assert optimized.returncode == plain.returncode

@@ -106,6 +106,24 @@ class TestConfig:
         with pytest.raises(BadParams, match=field):
             TesterConfig(**{"eps": 0.5, field: True})
 
+    @pytest.mark.parametrize(
+        "field, value", [("trials_for_amplification", 3.0), ("master_seed", 1.5)]
+    )
+    def test_non_integer_count_or_seed_is_bad_params(self, field, value):
+        # a float trial count would fail later in range(), and a float seed
+        # would be echoed as given while the streams are seeded with int()
+        with pytest.raises(BadParams, match=f"{field} must be an integer"):
+            TesterConfig(**{"eps": 0.5, field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        p = uniform_pmf(64)
+        runs = [
+            amplified_test(p, AliasSampler(p, 0), TesterConfig(
+                eps=0.5, trials_for_amplification=t, master_seed=seed))
+            for t, seed in ((np.int64(3), np.int64(1)), (3, 1))
+        ]
+        assert json.dumps(runs[0].to_dict()) == json.dumps(runs[1].to_dict())
+
     @pytest.mark.parametrize("field", ["C", "c1", "c2", "c3", "c4"])
     def test_removed_multiplier_fields_are_rejected(self, field):
         with pytest.raises(TypeError, match=field):
